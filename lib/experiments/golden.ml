@@ -216,6 +216,21 @@ let scale_requests = 30_000
 let obs_machine_seed = 7
 let obs_machine_requests = 400
 
+(* The Shenango baseline: one fig8a Memcached cell at 40% load, where idle
+   cores park and pay the kernel wake-up on their next dispatch.  It is
+   the only per-CPU run with parking and without preemption. *)
+let shenango_config =
+  { Config.duration = Time.ms 5; seed = 13; jobs = 1; requests = None }
+
+let shenango_cell () =
+  let p =
+    Fig8.run_server shenango_config Fig8.Shenango_ws
+      ~workers:Fig8.memcached_workers ~service:Skyloft_apps.Memcached.service
+      ~rate_rps:(0.4 *. Fig8.memcached_saturation)
+  in
+  Printf.sprintf "%h|%h|%h|%h" p.Fig8.offered_rps p.Fig8.achieved_rps
+    p.Fig8.p999_us p.Fig8.p999_slowdown
+
 (* Every golden is one independent cell; [jobs] fans them across domains.
    The values must be identical at any [jobs] — that invariance, checked
    against the committed digests, is the proof that parallelization is
@@ -276,6 +291,7 @@ let fingerprints ?(jobs = 1) () =
           ( "oversub-" ^ scenario,
             fun () -> digest (Oversub.golden_cell ~scenario) ))
         Oversub.golden_scenarios
+    @ [ ("fig8a-shenango", fun () -> digest (shenango_cell ())) ]
   in
   Parallel.map ~jobs (fun (name, f) -> (name, f ())) cells
 

@@ -134,6 +134,9 @@ let golden =
     ("oversub-none", "4fb3504f19b2857ce769c63bc644109a");
     ("oversub-hoard", "cd6f734caa0563036d19da85e22e6c2a");
     ("oversub-crash", "e7f42711ea32e5c4ec65fd2e0c87a8f0");
+    (* the Shenango baseline (per-CPU, no preemption, parked idle cores):
+       one fig8a Memcached cell *)
+    ("fig8a-shenango", "9a42c9a78f128a7fada6705ad4551cd5");
   ]
 
 let check_golden got =
