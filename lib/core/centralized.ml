@@ -434,7 +434,7 @@ let submit t app ?(service = 0) ?(record = true) ?deadline ?on_drop ~name body =
   (match deadline with
   | Some d ->
       Rc.arm_deadline t.rc ?on_drop task ~deadline:d
-        ~err:"Centralized.submit: deadline must be positive"
+        ~who:"Centralized"
   | None -> ());
   task
 

@@ -612,7 +612,7 @@ let submit t app ?(service = 0) ?(record = true) ?deadline ?on_drop ~name body =
   (match deadline with
   | Some d ->
       Rc.arm_deadline t.rc ?on_drop task ~deadline:d
-        ~err:"Hybrid.submit: deadline must be positive"
+        ~who:"Hybrid"
   | None -> ());
   task
 

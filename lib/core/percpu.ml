@@ -17,7 +17,16 @@ module Rc = Runtime_core
    synchronous per-core scheduling driven by delegated timer interrupts
    (Listing 1), kicks for idle cores, Shenango-style parking, and the
    per-core watchdog.  Everything else — lifecycle, accounting, BE
-   occupancy, deadlines, allocator, metrics — lives in the core. *)
+   occupancy, deadlines, allocator, metrics — lives in the core.
+
+   {!Worksteal} is this runtime with a steal-half policy: the policy
+   reports its steal costs and failed scans through {!charge_steal} and
+   {!steal_failed}, and both per-core fields stay 0 under every other
+   policy. *)
+
+(* Consecutive failed steal scans before an idle core parks without
+   grace (the steal-storm brake). *)
+let storm_park_after = 2
 
 type cpu = {
   ex : Rc.exec;
@@ -25,9 +34,12 @@ type cpu = {
   mutable parked : bool;  (* yielded to the kernel while idle (Shenango) *)
   mutable idle_gen : int;  (* invalidates stale park timers *)
   mutable last_sched : Time.t;  (* last scheduling point (watchdog) *)
+  mutable fail_streak : int;  (* consecutive failed steal scans *)
+  mutable pending_steal_cost : Time.t;  (* charged on the next dispatch *)
 }
 
 type t = {
+  name : string;  (* "Percpu", or "Worksteal" for the steal-half flavour *)
   rc : Rc.t;
   cores : int array;
   cpus : cpu array;
@@ -37,12 +49,29 @@ type t = {
   park : (Time.t * Time.t) option;  (* (idle_after, resume_cost) *)
   mutable ticks : int;
   mutable rr_spawn : int;  (* round-robin spawn placement cursor *)
+  mutable parks : int;
+  mutable unparks : int;
   uvec_handlers : (int, int -> unit) Hashtbl.t;
       (* user-delegated device interrupts: uvec -> handler (gets core id) *)
 }
 
 let now t = Rc.now t.rc
-let cpu_of t core = Hashtbl.find t.by_core core
+
+let cpu_of t core =
+  match Hashtbl.find t.by_core core with
+  | cpu -> cpu
+  | exception Not_found ->
+      invalid_arg
+        (Printf.sprintf "%s: core %d is not managed by this runtime" t.name
+           core)
+
+let charge_steal t ~core cost =
+  let cpu = cpu_of t core in
+  cpu.pending_steal_cost <- cpu.pending_steal_cost + cost
+
+let steal_failed t ~core =
+  let cpu = cpu_of t core in
+  cpu.fail_streak <- cpu.fail_streak + 1
 
 let is_idle t ~core =
   match Hashtbl.find_opt t.by_core core with
@@ -52,6 +81,12 @@ let is_idle t ~core =
 let view t = Rc.view t.rc
 
 (* ---- dispatch & the main loop ------------------------------------------ *)
+
+let park_now t cpu =
+  if not cpu.parked then begin
+    cpu.parked <- true;
+    t.parks <- t.parks + 1
+  end
 
 let rec schedule t cpu ~prev =
   let rc = t.rc in
@@ -86,21 +121,29 @@ let rec schedule t cpu ~prev =
       (* Shenango-style runtimes return idle cores to the kernel; waking a
          parked core later costs a kernel wakeup. *)
       (match t.park with
+      | Some _ when cpu.fail_streak >= storm_park_after ->
+          (* Steal scans keep coming up empty: park now rather than
+             respin the scan on every kick. *)
+          park_now t cpu
       | Some (idle_after, _) ->
           let gen = cpu.idle_gen in
           ignore
             (Engine.after rc.Rc.engine idle_after (fun () ->
                  if cpu.ex.Rc.current = None && cpu.idle_gen = gen then
-                   cpu.parked <- true))
+                   park_now t cpu))
       | None -> ())
   | Some task ->
       let unpark_cost =
         if cpu.parked then begin
           cpu.parked <- false;
+          t.unparks <- t.unparks + 1;
           match t.park with Some (_, resume_cost) -> resume_cost | None -> 0
         end
         else 0
       in
+      cpu.fail_streak <- 0;
+      let steal_cost = cpu.pending_steal_cost in
+      cpu.pending_steal_cost <- 0;
       let same = match prev with Some p -> p == task | None -> false in
       let cost =
         if same then 0
@@ -110,7 +153,7 @@ let rec schedule t cpu ~prev =
         end
         else Rc.app_switch rc cpu.ex task
       in
-      dispatch t cpu task ~switch_cost:(cost + unpark_cost)
+      dispatch t cpu task ~switch_cost:(cost + unpark_cost + steal_cost)
 
 and dispatch t cpu (task : Task.t) ~switch_cost =
   cpu.last_sched <- now t;
@@ -302,12 +345,12 @@ let register_kthread t app_id core =
   end;
   kt
 
-let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
-    ?watchdog ctor =
-  if cores = [] then invalid_arg "Percpu.create: no cores";
+let make ~name machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog ctor =
+  let who = name ^ ".create" in
+  if cores = [] then invalid_arg (who ^ ": no cores");
   (match watchdog with
   | Some bound when bound <= 0 ->
-      invalid_arg "Percpu.create: watchdog bound must be positive"
+      invalid_arg (who ^ ": watchdog bound must be positive")
   | Some _ | None -> ());
   let cores_arr = Array.of_list cores in
   let cpus =
@@ -319,11 +362,14 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
           parked = false;
           idle_gen = 0;
           last_sched = 0;
+          fail_streak = 0;
+          pending_steal_cost = 0;
         })
       cores_arr
   in
   let t =
     {
+      name;
       rc = Rc.create machine kmod ~record_wakeups:true ~trace_app_switches:true;
       cores = cores_arr;
       cpus;
@@ -333,13 +379,15 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
       park;
       ticks = 0;
       rr_spawn = 0;
+      parks = 0;
+      unparks = 0;
       uvec_handlers = Hashtbl.create 8;
     }
   in
   Array.iter (fun cpu -> Hashtbl.replace t.by_core cpu.ex.Rc.exec_core cpu) cpus;
   Rc.install_dispatch t.rc
     {
-      Rc.d_name = "percpu";
+      Rc.d_name = String.lowercase_ascii name;
       d_units = Array.map (fun cpu -> cpu.ex) cpus;
       d_enqueue_cpu = (fun ex -> ex.Rc.exec_core);
       d_incoming_app = (fun _ -> -1);
@@ -347,7 +395,7 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
       d_reschedule =
         (fun ex ~prev -> schedule t (cpu_of t ex.Rc.exec_core) ~prev);
     };
-  Rc.install_policy t.rc ctor;
+  Rc.install_policy t.rc (ctor t);
   (* The daemon occupies every isolated core first (§4.1). *)
   Array.iter
     (fun core ->
@@ -366,6 +414,11 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
     t.cpus;
   Rc.start_watchdog t.rc ~bound:watchdog (fun ~bound -> watchdog_scan t ~bound);
   t
+
+let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
+    ?watchdog ctor =
+  make ~name:"Percpu" machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog
+    (fun _ -> ctor)
 
 let create_app t ~name =
   let app = Rc.new_app t.rc ~name in
@@ -423,7 +476,8 @@ let core_allowance t = t.rc.Rc.core_allowance
 let congestion t = Rc.congestion t.rc
 
 let attach_be_app t ?alloc app ~chunk ~workers =
-  Rc.spawn_be_workers t.rc app ~chunk ~workers ~who:"Percpu.attach_be_app";
+  Rc.spawn_be_workers t.rc app ~chunk ~workers
+    ~who:(t.name ^ ".attach_be_app");
   let cfg = match alloc with Some a -> a | None -> Allocator.default_config () in
   let on_event (ev : Allocator.event) =
     let kind =
@@ -459,6 +513,7 @@ let spawn t app ~name ?cpu ?arrival ?service ?(record = true) ?deadline ?on_drop
     body =
   let arrival = match arrival with Some a -> a | None -> now t in
   let service = match service with Some s -> s | None -> 0 in
+  (match cpu with Some c -> ignore (cpu_of t c) | None -> ());
   let task = Rc.admit t.rc app ~name ~arrival ~service ~record body in
   let target = match cpu with Some c -> c | None -> pick_spawn_cpu t in
   task.Task.last_core <- target;
@@ -467,8 +522,7 @@ let spawn t app ~name ?cpu ?arrival ?service ?(record = true) ?deadline ?on_drop
   if is_idle t ~core:target then kick_core t target else kick_some_idle t;
   (match deadline with
   | Some d ->
-      Rc.arm_deadline t.rc ?on_drop task ~deadline:d
-        ~err:"Percpu.spawn: deadline must be positive"
+      Rc.arm_deadline t.rc ?on_drop task ~deadline:d ~who:t.name
   | None -> ());
   task
 
@@ -478,7 +532,8 @@ let spawn t app ~name ?cpu ?arrival ?service ?(record = true) ?deadline ?on_drop
    for the fault's duration, without violating the Single Binding Rule
    (the kthread stays bound; only the user thread sleeps). *)
 let rec fault_current t ~core ~duration =
-  if duration <= 0 then invalid_arg "Percpu.fault_current: duration must be positive";
+  if duration <= 0 then
+    invalid_arg (t.name ^ ".fault_current: duration must be positive");
   let cpu = cpu_of t core in
   match cpu.ex.Rc.current with
   | Some task when not (Eventq.is_null cpu.ex.Rc.completion) ->
@@ -521,7 +576,8 @@ let wakeup t ?(waker_cpu = -1) (task : Task.t) = wakeup_task t ~waker_cpu task
    worker core (the "utimer" of §5.3/§5.4).  Needs [preemption:false] so
    the receiver contexts keep the plain notification vector. *)
 let start_utimer t ~src_core ~hz =
-  if hz <= 0 then invalid_arg "Percpu.start_utimer: hz must be positive";
+  if hz <= 0 then
+    invalid_arg (t.name ^ ".start_utimer: hz must be positive");
   let period = max 1 (1_000_000_000 / hz) in
   Engine.every t.rc.Rc.engine ~period (fun () ->
       Array.iter
@@ -536,7 +592,7 @@ let start_utimer t ~src_core ~hz =
 
 let register_uvec t ~uvec handler =
   if uvec = Vectors.uvec_timer || uvec = Vectors.uvec_preempt then
-    invalid_arg "Percpu.register_uvec: reserved uvec";
+    invalid_arg (t.name ^ ".register_uvec: reserved uvec");
   Hashtbl.replace t.uvec_handlers uvec handler
 
 let preempt_core t ~src_core ~dst_core =
@@ -555,6 +611,8 @@ let task_switches t = t.rc.Rc.switches
 let app_switches t = t.rc.Rc.app_switches
 let preemptions t = t.rc.Rc.preempts
 let timer_ticks t = t.ticks
+let parks t = t.parks
+let unparks t = t.unparks
 let watchdog_rescues t = t.rc.Rc.rescues
 let rescue_detection t = t.rc.Rc.rescue_detect
 let deadline_drops t = t.rc.Rc.deadline_drops
@@ -566,29 +624,30 @@ let set_trace t trace = t.rc.Rc.trace <- Some trace
    time, so attaching a registry cannot perturb the simulation. *)
 let register_metrics t ?(labels = []) reg =
   let rc = t.rc in
-  let c name help read = Registry.counter reg ~help ~labels name read in
-  c "skyloft_percpu_task_switches_total" "Intra-application task switches"
+  let m suffix = "skyloft_" ^ String.lowercase_ascii t.name ^ "_" ^ suffix in
+  let c suffix help read = Registry.counter reg ~help ~labels (m suffix) read in
+  c "task_switches_total" "Intra-application task switches"
     (fun () -> rc.Rc.switches);
-  c "skyloft_percpu_app_switches_total"
+  c "app_switches_total"
     "Cross-application kthread switches through the kernel module" (fun () ->
       rc.Rc.app_switches);
-  c "skyloft_percpu_preemptions_total" "Tasks preempted off their core"
+  c "preemptions_total" "Tasks preempted off their core"
     (fun () -> rc.Rc.preempts);
-  c "skyloft_percpu_be_preemptions_total" "Best-effort tasks preempted"
+  c "be_preemptions_total" "Best-effort tasks preempted"
     (fun () -> rc.Rc.be_preempts);
-  c "skyloft_percpu_timer_ticks_total" "User-space timer interrupts handled"
+  c "timer_ticks_total" "User-space timer interrupts handled"
     (fun () -> t.ticks);
-  c "skyloft_percpu_watchdog_rescues_total" "Stuck cores rescued" (fun () ->
+  c "watchdog_rescues_total" "Stuck cores rescued" (fun () ->
       rc.Rc.rescues);
-  c "skyloft_percpu_deadline_drops_total" "Tasks killed at their deadline"
+  c "deadline_drops_total" "Tasks killed at their deadline"
     (fun () -> rc.Rc.deadline_drops);
-  Registry.gauge reg ~labels "skyloft_percpu_be_allowance"
+  Registry.gauge reg ~labels (m "be_allowance")
     ~help:"Cores the best-effort application may occupy" (fun () ->
       float_of_int rc.Rc.be_allowance);
-  Registry.histogram reg ~labels "skyloft_percpu_wakeup_latency_ns"
+  Registry.histogram reg ~labels (m "wakeup_latency_ns")
     ~help:"Wakeup-to-dispatch latency" (wakeup_hist t);
-  Registry.histogram reg ~labels "skyloft_percpu_rescue_detection_ns"
+  Registry.histogram reg ~labels (m "rescue_detection_ns")
     ~help:"Watchdog detection latency past the bound" rc.Rc.rescue_detect;
-  Registry.series reg ~labels "skyloft_percpu_queue_depth"
+  Registry.series reg ~labels (m "queue_depth")
     ~help:"LC policy queue length" rc.Rc.queue_depth;
   Rc.register_app_metrics rc ~labels reg

@@ -22,7 +22,11 @@ module Registry = Skyloft_obs.Registry
     - inter-application task switch: {!Skyloft_hw.Costs.app_switch_ns}
     - each timer tick: user-timer receive + the SN re-post SENDUIPI
     - preemption via user IPI (from [preempt_core]): UIPI delivery and
-      receive costs. *)
+      receive costs.
+
+    Every entry point that takes a core ([spawn ~cpu], [current],
+    [fault_current]) raises [Invalid_argument] naming the runtime and the
+    core when the runtime does not manage that core. *)
 
 type t
 
@@ -172,6 +176,12 @@ val app_switches : t -> int
 val preemptions : t -> int
 val timer_ticks : t -> int
 
+val parks : t -> int
+(** Idle cores parked back to the kernel (only with [park]). *)
+
+val unparks : t -> int
+(** Parked cores woken for new work; each paid the resume cost. *)
+
 val watchdog_rescues : t -> int
 (** Stuck cores rescued by the watchdog (see {!create}'s [watchdog]). *)
 
@@ -194,3 +204,26 @@ val set_trace : t -> Trace.t -> unit
     {!Skyloft_stats.Trace.to_chrome_json}. *)
 
 val view : t -> Sched_ops.view
+
+(**/**)
+
+(* The per-CPU family's seam for {!Worksteal}: the same runtime under a
+   different [name] (error messages, [skyloft_<name>_*] metrics), with a
+   policy built from the runtime itself so that it can charge its steals
+   to the thief's next dispatch and report failed scans, which park the
+   core at once after repeated failures. *)
+
+val make :
+  name:string ->
+  Machine.t ->
+  Kmod.t ->
+  cores:int list ->
+  timer_hz:int ->
+  preemption:bool ->
+  park:(Time.t * Time.t) option ->
+  watchdog:Time.t option ->
+  (t -> Sched_ops.ctor) ->
+  t
+
+val charge_steal : t -> core:int -> Time.t -> unit
+val steal_failed : t -> core:int -> unit

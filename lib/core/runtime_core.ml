@@ -473,8 +473,8 @@ let kill t ?on_drop (task : Task.t) =
         t.policy.task_terminate task;
         deadline_expired t task ~on_drop
 
-let arm_deadline t ?on_drop (task : Task.t) ~deadline ~err =
-  if deadline <= 0 then invalid_arg err;
+let arm_deadline t ?on_drop (task : Task.t) ~deadline ~who =
+  if deadline <= 0 then invalid_arg (who ^ ": deadline must be positive");
   ignore (Engine.after t.engine deadline (fun () -> kill t ?on_drop task))
 
 (* ---- task admission ------------------------------------------------------- *)

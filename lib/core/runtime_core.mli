@@ -199,9 +199,9 @@ val deadline_expired : t -> Task.t -> on_drop:(Task.t -> unit) option -> unit
 val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
 
 val arm_deadline :
-  t -> ?on_drop:(Task.t -> unit) -> Task.t -> deadline:Time.t -> err:string -> unit
-(** Arm a kill timer; raises [Invalid_argument err] unless the deadline is
-    positive. *)
+  t -> ?on_drop:(Task.t -> unit) -> Task.t -> deadline:Time.t -> who:string -> unit
+(** Arm a kill timer; raises [Invalid_argument] naming the runtime [who]
+    unless the deadline is positive. *)
 
 (** {1 Task admission} *)
 

@@ -7,9 +7,8 @@ module Trace = Skyloft_stats.Trace
 module Timeseries = Skyloft_stats.Timeseries
 module Registry = Skyloft_obs.Registry
 
-(** The work-stealing Skyloft runtime: per-core deques with steal-half
-    rebalancing over the {!Runtime_core} substrate (Shenango §5.3 promoted
-    to a first-class runtime).
+(** The work-stealing Skyloft runtime: {!Percpu} with a steal-half policy
+    (Shenango §5.3 promoted to a first-class runtime).
 
     Each core owns a deque: the owner pushes and pops at the head (LIFO —
     the newest task's state is hottest in cache), preempted and yielded
@@ -54,7 +53,20 @@ val create :
 
     [watchdog] arms the same stuck-core watchdog as {!Percpu.create}. *)
 
+val percpu : t -> Percpu.t
+(** The underlying per-CPU runtime: every {!Percpu} call ([kill],
+    [wakeup], [fault_current], [current], [start_utimer], ...) applies to
+    it unchanged. *)
+
 val create_app : t -> name:string -> App.t
+
+val spawn :
+  t -> App.t -> name:string -> ?cpu:int -> ?arrival:Time.t -> ?service:Time.t ->
+  ?record:bool -> ?deadline:Time.t -> ?on_drop:(Task.t -> unit) -> Coro.t ->
+  Task.t
+(** Create a task.  [cpu] pins initial placement (default: an idle core,
+    else round-robin); the task lands at the head of the target's deque.
+    See {!Percpu.spawn}. *)
 
 val attach_be_app :
   t ->
@@ -67,50 +79,26 @@ val attach_be_app :
     deques; see {!Percpu.attach_be_app}. *)
 
 val allocator : t -> Skyloft_alloc.Allocator.t option
-val be_preemptions : t -> int
 
 val set_core_allowance : t -> int -> unit
 (** Machine-level broker grant; see {!Percpu.set_core_allowance}. *)
 
-val core_allowance : t -> int
 val congestion : t -> Skyloft_alloc.Allocator.raw
-
-val spawn :
-  t -> App.t -> name:string -> ?cpu:int -> ?arrival:Time.t -> ?service:Time.t ->
-  ?record:bool -> ?deadline:Time.t -> ?on_drop:(Task.t -> unit) -> Coro.t ->
-  Task.t
-(** Create a task.  [cpu] pins initial placement (default: an idle core,
-    else round-robin); the task lands at the head of the target's deque.
-    [deadline]/[on_drop] as in {!Percpu.spawn}. *)
-
-val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
-val wakeup : t -> ?waker_cpu:int -> Task.t -> unit
-val fault_current : t -> core:int -> duration:Time.t -> bool
-val register_uvec : t -> uvec:int -> (int -> unit) -> unit
-val start_utimer : t -> src_core:int -> hz:int -> unit
-val preempt_core : t -> src_core:int -> dst_core:int -> unit
-val now : t -> Time.t
-val current : t -> core:int -> Task.t option
-val is_idle : t -> core:int -> bool
-val wakeup_hist : t -> Histogram.t
 val queue_depth_series : t -> Timeseries.t
+val rescue_detection : t -> Histogram.t
+val set_trace : t -> Trace.t -> unit
 
-(** [register_metrics t reg] registers this runtime's counters (under
-    [skyloft_worksteal_*], including steals, stolen tasks, failed scans,
-    parks and unparks) plus every application's counters; pull-based and
-    perturbation-free like the other runtimes'. *)
+(** [register_metrics t reg] registers {!Percpu.register_metrics}' set
+    under [skyloft_worksteal_*], plus steals, stolen tasks, failed scans,
+    parks and unparks. *)
 val register_metrics : t -> ?labels:Registry.labels -> Registry.t -> unit
 
 val task_switches : t -> int
-val app_switches : t -> int
 val preemptions : t -> int
 val timer_ticks : t -> int
-val watchdog_rescues : t -> int
-val rescue_detection : t -> Histogram.t
+val be_preemptions : t -> int
 val deadline_drops : t -> int
-val total_busy_ns : t -> int
-val apps : t -> App.t list
-val set_trace : t -> Trace.t -> unit
+val watchdog_rescues : t -> int
 
 val steals : t -> int
 (** Successful steal-half grabs. *)
@@ -126,5 +114,3 @@ val parks : t -> int
 
 val unparks : t -> int
 (** Parked cores woken for new work (each paid the resume cost). *)
-
-val view : t -> Sched_ops.view

@@ -7,11 +7,7 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module Histogram = Skyloft_stats.Histogram
-module App = Skyloft.App
-module Centralized = Skyloft.Centralized
-module Percpu = Skyloft.Percpu
-module Hybrid = Skyloft.Hybrid
-module Worksteal = Skyloft.Worksteal
+module Runtime = Skyloft_runtime.Runtime
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Nic = Skyloft_net.Nic
@@ -53,6 +49,12 @@ let poison_deadline = Time.ms 2
 let fault_rates = [ 0.0; 0.01; 0.05 ]
 
 type runtime = Central | Percore | Hybridized | Stealing
+
+let kind_of = function
+  | Central -> Runtime.Centralized
+  | Percore -> Runtime.Percpu
+  | Hybridized -> Runtime.Hybrid
+  | Stealing -> Runtime.Worksteal
 
 let runtimes =
   [
@@ -107,22 +109,6 @@ type counters = {
   mutable attempts : int;
 }
 
-(* Runtime-neutral surface the request pipeline needs. *)
-type iface = {
-  submit :
-    name:string ->
-    service:Time.t ->
-    on_drop:(unit -> unit) ->
-    on_done:(unit -> unit) ->
-    unit;
-  poison : core:int -> service:Time.t -> unit;
-  rescues : unit -> int;
-  failovers : unit -> int;
-  deadline_drops : unit -> int;
-  detect : unit -> Histogram.t;
-  allocator : unit -> Allocator.t option;
-}
-
 (* The delay policy reclaims BE cores on LC queueing delay — a congestion
    signal that stays live even while LC is fully starved of cores (the
    utilization signal is not: an LC app with no cores has zero utilization
@@ -134,163 +120,28 @@ let alloc_cfg () =
     degrade_after = Some 40;
   }
 
-let make_centralized machine kmod =
-  let rt =
-    Centralized.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Centralized.submit rt lc ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             ~name
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core:_ ~service ->
-        ignore
-          (Centralized.submit rt lc ~record:false ~deadline:poison_deadline
-             ~name:"poison"
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Centralized.watchdog_rescues rt);
-    failovers = (fun () -> Centralized.failovers rt);
-    deadline_drops = (fun () -> Centralized.deadline_drops rt);
-    detect = (fun () -> Centralized.rescue_detection rt);
-    allocator = (fun () -> Centralized.allocator rt);
-  }
-
-let make_percpu machine kmod =
-  let rt =
-    Percpu.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~watchdog:watchdog_bound
-      (Skyloft_policies.Work_stealing.create ~quantum ())
-  in
-  let lc = Percpu.create_app rt ~name:"lc" in
-  let be = Percpu.create_app rt ~name:"batch" in
-  Percpu.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Percpu.spawn rt lc ~name ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core ~service ->
-        ignore
-          (Percpu.spawn rt lc ~name:"poison" ~cpu:core ~record:false
-             ~deadline:poison_deadline
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Percpu.watchdog_rescues rt);
-    failovers = (fun () -> 0);
-    deadline_drops = (fun () -> Percpu.deadline_drops rt);
-    detect = (fun () -> Percpu.rescue_detection rt);
-    allocator = (fun () -> Percpu.allocator rt);
-  }
-
-let make_worksteal machine kmod =
-  let rt =
-    Worksteal.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~quantum ~watchdog:watchdog_bound ()
-  in
-  let lc = Worksteal.create_app rt ~name:"lc" in
-  let be = Worksteal.create_app rt ~name:"batch" in
-  Worksteal.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Worksteal.spawn rt lc ~name ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core ~service ->
-        ignore
-          (Worksteal.spawn rt lc ~name:"poison" ~cpu:core ~record:false
-             ~deadline:poison_deadline
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Worksteal.watchdog_rescues rt);
-    failovers = (fun () -> 0);
-    deadline_drops = (fun () -> Worksteal.deadline_drops rt);
-    detect = (fun () -> Worksteal.rescue_detection rt);
-    allocator = (fun () -> Worksteal.allocator rt);
-  }
-
-let make_hybrid machine kmod =
-  let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Hybrid.submit rt lc ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             ~name
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core:_ ~service ->
-        ignore
-          (Hybrid.submit rt lc ~record:false ~deadline:poison_deadline
-             ~name:"poison"
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Hybrid.watchdog_rescues rt);
-    failovers = (fun () -> Hybrid.failovers rt);
-    deadline_drops = (fun () -> Hybrid.deadline_drops rt);
-    detect = (fun () -> Hybrid.rescue_detection rt);
-    allocator = (fun () -> Hybrid.allocator rt);
-  }
-
 let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create engine Topology.paper_server in
   let kmod = Kmod.create machine in
-  let iface =
+  let cores =
     match which with
-    | Central -> make_centralized machine kmod
-    | Percore -> make_percpu machine kmod
-    | Hybridized -> make_hybrid machine kmod
-    | Stealing -> make_worksteal machine kmod
+    | Central | Hybridized -> dispatcher_core :: worker_cores
+    | Percore | Stealing -> percpu_cores
   in
+  let rt =
+    Runtime.create (kind_of which) machine kmod ~cores ~quantum
+      ~watchdog:watchdog_bound ~alloc:(alloc_cfg ()) ()
+  in
+  let lc = rt.Runtime.create_app ~name:"lc" in
+  let be = rt.Runtime.create_app ~name:"batch" in
+  rt.Runtime.attach_be be ~chunk:(Time.us 50) ~workers:n_workers;
   let nic = Nic.create engine ~queues:1 ~ring_capacity () in
   (* Split order is fixed so a zero-rate run draws the same generator
      stream as a faulty one (the injector draws only from its own split). *)
   let inj_rng = Engine.split_rng engine in
   let gen_rng = Engine.split_rng engine in
   let injector = Injector.create ~engine ~rng:inj_rng () in
-  let inject_cores =
-    match which with
-    | Central | Hybridized -> dispatcher_core :: worker_cores
-    | Percore | Stealing -> percpu_cores
-  in
   (match plans rate with
   | [] -> ()
   | ps ->
@@ -299,17 +150,33 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
           Injector.machine;
           kmod = Some kmod;
           nic = Some nic;
-          cores = inject_cores;
-          poison = Some (fun ~core ~service -> iface.poison ~core ~service);
+          cores;
+          poison =
+            Some
+              (fun ~core ~service ->
+                ignore
+                  (rt.Runtime.submit lc ~name:"poison" ~cpu:core ~record:false
+                     ~deadline:poison_deadline
+                     (Coro.Compute (service, fun () -> Coro.Exit))));
         }
         ps);
   let cnt = { submitted = 0; completed = 0; gave_up = 0; attempts = 0 } in
   let summary = Summary.create () in
+  let submit ~name ~service ~on_drop ~on_done =
+    ignore
+      (rt.Runtime.submit lc ~name ~record:false ~deadline
+         ~on_drop:(fun _ -> on_drop ())
+         (Coro.Compute
+            ( service,
+              fun () ->
+                on_done ();
+                Coro.Exit )))
+  in
   Nic.on_packet nic ~queue:0 (fun (pkt : Packet.t) ->
       Loadgen.retrying engine ~budget:retry_budget ~backoff:retry_backoff
         ~attempt:(fun _k done_ ->
           cnt.attempts <- cnt.attempts + 1;
-          iface.submit ~name:pkt.Packet.kind ~service:pkt.Packet.service
+          submit ~name:pkt.Packet.kind ~service:pkt.Packet.service
             ~on_drop:(fun () -> done_ false)
             ~on_done:(fun () ->
               cnt.completed <- cnt.completed + 1;
@@ -323,7 +190,8 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
       Nic.rx nic pkt);
   Engine.run ~until:(config.duration + drain) engine;
   let net_drops = Nic.drops nic + Nic.injected_drops nic in
-  let detect = iface.detect () in
+  let detect = rt.Runtime.rescue_detection in
+  let counters = rt.Runtime.counters () in
   let detect_p p =
     if Histogram.is_empty detect then 0.0
     else Time.to_us_float (Histogram.percentile detect p)
@@ -338,11 +206,11 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
     net_drops;
     lost = cnt.submitted - cnt.completed - cnt.gave_up - net_drops;
     attempts = cnt.attempts;
-    deadline_drops = iface.deadline_drops ();
-    rescues = iface.rescues ();
-    failovers = iface.failovers ();
+    deadline_drops = counters.Runtime.deadline_drops;
+    rescues = counters.Runtime.rescues;
+    failovers = counters.Runtime.failovers;
     degradations =
-      (match iface.allocator () with
+      (match rt.Runtime.allocator () with
       | Some a -> Allocator.degradations a
       | None -> 0);
     detect_p50_us = detect_p 50.0;

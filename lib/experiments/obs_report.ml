@@ -9,10 +9,8 @@ module Histogram = Skyloft_stats.Histogram
 module Timeseries = Skyloft_stats.Timeseries
 module Trace = Skyloft_stats.Trace
 module App = Skyloft.App
-module Centralized = Skyloft.Centralized
 module Percpu = Skyloft.Percpu
-module Hybrid = Skyloft.Hybrid
-module Worksteal = Skyloft.Worksteal
+module Runtime = Skyloft_runtime.Runtime
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Nic = Skyloft_net.Nic
@@ -63,15 +61,10 @@ let fault_ns = Time.us 15  (* ...for this long *)
 let page_fault_period = Time.us 500  (* percpu: fault the task on core 0 *)
 let page_fault_ns = Time.us 20
 
-type runtime = Central | Percore | Hybridized | Stealing
-
 let runtimes =
-  [
-    ("centralized", Central);
-    ("percpu", Percore);
-    ("hybrid", Hybridized);
-    ("worksteal", Stealing);
-  ]
+  List.map
+    (fun kind -> (Runtime.name kind, kind))
+    Runtime.[ Centralized; Percpu; Hybrid; Worksteal ]
 
 let alloc_cfg () =
   {
@@ -79,208 +72,10 @@ let alloc_cfg () =
     Allocator.policy = Alloc_policy.delay ();
   }
 
-(* Runtime-neutral surface: submit a request (optionally one that blocks
-   mid-service), register every subsystem's metrics, and poke the
-   runtime-specific fault path. *)
-type iface = {
-  submit : name:string -> service:Time.t -> fault:bool -> unit;
-  register : Registry.t -> unit;
-  lc : App.t;
-  be : App.t;
-  queue_series : Timeseries.t;
-  alloc : unit -> Allocator.t option;
-  fault_tick : unit -> unit;
-}
-
 (* A faulting request computes half its service, blocks (the page-fault
    monitor path), and is woken by an external event; the runtime charges
    the blocked interval as fault stall, never as service. *)
 let split_service service = (service / 2, service - (service / 2))
-
-let make_centralized engine machine kmod =
-  let rt =
-    Centralized.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Centralized.submit rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Centralized.wakeup rt task))
-          end
-          else
-            ignore
-              (Centralized.submit rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Centralized.register_metrics rt reg;
-          match Centralized.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Centralized.queue_depth_series rt;
-      alloc = (fun () -> Centralized.allocator rt);
-      fault_tick = (fun () -> ());
-    },
-    (fun trace -> Centralized.set_trace rt trace) )
-
-let make_percpu engine machine kmod =
-  let rt =
-    Percpu.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~watchdog:watchdog_bound
-      (Skyloft_policies.Work_stealing.create ~quantum ())
-  in
-  let lc = Percpu.create_app rt ~name:"lc" in
-  let be = Percpu.create_app rt ~name:"batch" in
-  Percpu.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Percpu.spawn rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Percpu.wakeup rt task))
-          end
-          else
-            ignore
-              (Percpu.spawn rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Percpu.register_metrics rt reg;
-          match Percpu.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Percpu.queue_depth_series rt;
-      alloc = (fun () -> Percpu.allocator rt);
-      fault_tick =
-        (fun () ->
-          ignore (Percpu.fault_current rt ~core:0 ~duration:page_fault_ns));
-    },
-    (fun trace -> Percpu.set_trace rt trace) )
-
-let make_worksteal engine machine kmod =
-  let rt =
-    Worksteal.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~quantum ~watchdog:watchdog_bound ()
-  in
-  let lc = Worksteal.create_app rt ~name:"lc" in
-  let be = Worksteal.create_app rt ~name:"batch" in
-  Worksteal.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Worksteal.spawn rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Worksteal.wakeup rt task))
-          end
-          else
-            ignore
-              (Worksteal.spawn rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Worksteal.register_metrics rt reg;
-          match Worksteal.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Worksteal.queue_depth_series rt;
-      alloc = (fun () -> Worksteal.allocator rt);
-      fault_tick =
-        (fun () ->
-          ignore (Worksteal.fault_current rt ~core:0 ~duration:page_fault_ns));
-    },
-    (fun trace -> Worksteal.set_trace rt trace) )
-
-let make_hybrid engine machine kmod =
-  let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Hybrid.submit rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Hybrid.wakeup rt task))
-          end
-          else
-            ignore
-              (Hybrid.submit rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Hybrid.register_metrics rt reg;
-          match Hybrid.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Hybrid.queue_depth_series rt;
-      alloc = (fun () -> Hybrid.allocator rt);
-      fault_tick = (fun () -> ());
-    },
-    (fun trace -> Hybrid.set_trace rt trace) )
 
 type point = {
   runtime : string;
@@ -315,44 +110,51 @@ let fingerprint_of ~trace_json ~rows ~queue_series =
        (match Timeseries.last queue_series with Some (_, v) -> v | None -> -1));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
+let run_point (config : Config.t) ~runtime:(rt_name, kind) ~instrumented =
   (* App ids leak into trace pids; per-run allocation in Runtime_core
      guarantees both arms assign the same ids without any global reset. *)
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create engine Topology.paper_server in
   let kmod = Kmod.create machine in
-  let iface, set_trace =
-    match which with
-    | Central ->
-        let _, iface, set = make_centralized engine machine kmod in
-        (iface, set)
-    | Percore ->
-        let _, iface, set = make_percpu engine machine kmod in
-        (iface, set)
-    | Hybridized ->
-        let _, iface, set = make_hybrid engine machine kmod in
-        (iface, set)
-    | Stealing ->
-        let _, iface, set = make_worksteal engine machine kmod in
-        (iface, set)
+  let cores =
+    match kind with
+    | Runtime.Centralized | Runtime.Hybrid -> dispatcher_core :: worker_cores
+    | Runtime.Percpu | Runtime.Worksteal -> percpu_cores
+  in
+  let rt =
+    Runtime.create kind machine kmod ~cores ~quantum ~watchdog:watchdog_bound
+      ~alloc:(alloc_cfg ()) ()
+  in
+  let lc = rt.Runtime.create_app ~name:"lc" in
+  let be = rt.Runtime.create_app ~name:"batch" in
+  rt.Runtime.attach_be be ~chunk:(Time.us 50) ~workers:n_workers;
+  let submit ~name ~service ~fault =
+    if fault then begin
+      let s1, s2 = split_service service in
+      let body =
+        Coro.Compute
+          (s1, fun () -> Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit)))
+      in
+      let task = rt.Runtime.submit lc ~service ~name body in
+      ignore (Engine.after engine (s1 + fault_ns) (fun () -> rt.Runtime.wakeup task))
+    end
+    else
+      ignore
+        (rt.Runtime.submit lc ~service ~name
+           (Coro.Compute (service, fun () -> Coro.Exit)))
   in
   let trace = Trace.create ~capacity:trace_capacity () in
-  set_trace trace;
+  rt.Runtime.set_trace trace;
   let nic = Nic.create engine ~queues:1 () in
   let inj_rng = Engine.split_rng engine in
   let gen_rng = Engine.split_rng engine in
   let injector = Injector.create ~engine ~rng:inj_rng () in
-  let inject_cores =
-    match which with
-    | Central | Hybridized -> dispatcher_core :: worker_cores
-    | Percore | Stealing -> percpu_cores
-  in
   Injector.arm injector
     {
       Injector.machine;
       kmod = Some kmod;
       nic = Some nic;
-      cores = inject_cores;
+      cores;
       poison = None;
     }
     [ Plan.core_steal ~period:steal_period ~duration:steal_duration () ];
@@ -360,7 +162,8 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
   let registry = if instrumented then Some (Registry.create ()) else None in
   (match registry with
   | Some reg ->
-      iface.register reg;
+      rt.Runtime.register_metrics reg;
+      Option.iter (fun a -> Allocator.register_metrics a reg) (rt.Runtime.allocator ());
       Kmod.register_metrics kmod reg;
       Nic.register_metrics nic reg;
       Injector.register_metrics injector reg
@@ -368,21 +171,21 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
   let n = ref 0 in
   Nic.on_packet nic ~queue:0 (fun (pkt : Packet.t) ->
       incr n;
-      iface.submit ~name:pkt.Packet.kind ~service:pkt.Packet.service
+      submit ~name:pkt.Packet.kind ~service:pkt.Packet.service
         ~fault:(!n mod fault_every = 0));
   Loadgen.poisson engine ~rng:gen_rng ~rate_rps ~service:Dist.dispersive
     ~duration:config.duration (fun pkt -> Nic.rx nic pkt);
-  (match which with
-  | Percore | Stealing ->
+  (match rt.Runtime.percpu with
+  | Some pc ->
       Engine.every engine ~period:page_fault_period (fun () ->
-          iface.fault_tick ();
+          ignore (Percpu.fault_current pc ~core:0 ~duration:page_fault_ns);
           true)
-  | Central | Hybridized -> ());
+  | None -> ());
   let until = config.duration + drain in
   Engine.run ~until engine;
   let rows =
-    [ (iface.lc.App.name, iface.lc.App.attribution);
-      (iface.be.App.name, iface.be.App.attribution) ]
+    [ (lc.App.name, lc.App.attribution);
+      (be.App.name, be.App.attribution) ]
   in
   let util = Trace_analysis.utilization trace ~until in
   let violations = Trace_analysis.check trace in
@@ -400,17 +203,17 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
                 (List.assoc_opt id r.Trace_analysis.per_app))
           0 util
       in
-      abs (span_busy_of iface.lc.App.id - iface.lc.App.busy_ns)
-      + abs (span_busy_of iface.be.App.id - iface.be.App.busy_ns)
+      abs (span_busy_of lc.App.id - lc.App.busy_ns)
+      + abs (span_busy_of be.App.id - be.App.busy_ns)
   in
   let counters =
-    ("queue depth", iface.queue_series)
+    ("queue depth", rt.Runtime.queue_depth_series)
     ::
-    (match iface.alloc () with
+    (match rt.Runtime.allocator () with
     | Some a ->
         [
-          ( iface.be.App.name ^ " granted cores",
-            Allocator.series a ~app:iface.be.App.id );
+          ( be.App.name ^ " granted cores",
+            Allocator.series a ~app:be.App.id );
         ]
     | None -> [])
   in
@@ -419,17 +222,17 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
     runtime = rt_name;
     instrumented;
     until;
-    requests = Attribution.requests iface.lc.App.attribution;
+    requests = Attribution.requests lc.App.attribution;
     mismatches =
-      Attribution.mismatches iface.lc.App.attribution
-      + Attribution.mismatches iface.be.App.attribution;
+      Attribution.mismatches lc.App.attribution
+      + Attribution.mismatches be.App.attribution;
     violations;
     dropped = Trace.dropped trace;
     busy_delta;
     util;
     rows;
     fingerprint =
-      fingerprint_of ~trace_json ~rows ~queue_series:iface.queue_series;
+      fingerprint_of ~trace_json ~rows ~queue_series:rt.Runtime.queue_depth_series;
     trace_json;
     samples =
       (match registry with

@@ -15,6 +15,7 @@ module Broker = Skyloft_alloc.Broker
 module Loadgen = Skyloft_net.Loadgen
 module Plan = Skyloft_fault.Plan
 module Injector = Skyloft_fault.Injector
+module Runtime = Skyloft_runtime.Runtime
 
 (* A placement is one oversubscribed machine: N independent runtime
    instances (tenants) sharing one simulated machine under a core
@@ -67,143 +68,6 @@ let default_config () =
     broker = Broker.default_config ();
   }
 
-(* Runtime-neutral surface, one per tenant: submit one deadline-armed
-   task, drive the broker's allowance, report congestion, and hook the
-   tenant into the machine-wide observability plane (shared flight
-   recorder + pull registry, tenant-labelled). *)
-type rt_iface = {
-  rt_submit :
-    name:string ->
-    service:Time.t ->
-    on_drop:(unit -> unit) ->
-    on_done:(unit -> unit) ->
-    unit;
-  rt_set_allowance : int -> unit;
-  rt_congestion : unit -> Allocator.raw;
-  rt_deadline_drops : unit -> int;
-  rt_set_trace : Skyloft_stats.Trace.t -> unit;
-  rt_register : Skyloft_obs.Registry.t -> unit;
-}
-
-let make_iface ~machine ~config ~(spec : tenant) ~cores =
-  let deadline = config.deadline in
-  let kmod = Kmod.create machine in
-  match spec.runtime with
-  | Scenario.Percpu ->
-      let rt =
-        Skyloft.Percpu.create machine kmod ~cores ~timer_hz:config.timer_hz
-          (Skyloft_policies.Work_stealing.create ~quantum:config.quantum ())
-      in
-      let app = Skyloft.Percpu.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Percpu.spawn rt app ~name ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Percpu.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Percpu.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Percpu.deadline_drops rt);
-        rt_set_trace = Skyloft.Percpu.set_trace rt;
-        rt_register =
-          (fun reg ->
-            Skyloft.Percpu.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
-      }
-  | Scenario.Worksteal ->
-      let rt =
-        Skyloft.Worksteal.create machine kmod ~cores ~timer_hz:config.timer_hz
-          ~quantum:config.quantum ()
-      in
-      let app = Skyloft.Worksteal.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Worksteal.spawn rt app ~name ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Worksteal.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Worksteal.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Worksteal.deadline_drops rt);
-        rt_set_trace = Skyloft.Worksteal.set_trace rt;
-        rt_register =
-          (fun reg ->
-            Skyloft.Worksteal.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
-      }
-  | Scenario.Centralized ->
-      let dispatcher_core = List.hd cores and worker_cores = List.tl cores in
-      let rt =
-        Skyloft.Centralized.create machine kmod ~dispatcher_core ~worker_cores
-          ~quantum:config.quantum
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      let app = Skyloft.Centralized.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Centralized.submit rt app ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Centralized.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Centralized.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Centralized.deadline_drops rt);
-        rt_set_trace = Skyloft.Centralized.set_trace rt;
-        rt_register =
-          (fun reg ->
-            Skyloft.Centralized.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
-      }
-  | Scenario.Hybrid ->
-      let dispatcher_core = List.hd cores and worker_cores = List.tl cores in
-      let rt =
-        Skyloft.Hybrid.create machine kmod ~dispatcher_core ~worker_cores
-          ~quantum:config.quantum ~timer_hz:config.timer_hz
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      let app = Skyloft.Hybrid.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Hybrid.submit rt app ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Hybrid.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Hybrid.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Hybrid.deadline_drops rt);
-        rt_set_trace = Skyloft.Hybrid.set_trace rt;
-        rt_register =
-          (fun reg ->
-            Skyloft.Hybrid.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
-      }
-
 type tenant_result = {
   t_name : string;
   t_runtime : string;
@@ -242,7 +106,8 @@ type result = {
 
 type state = {
   spec : tenant;
-  iface : rt_iface;
+  rt : Runtime.t;
+  app : App.t;
   rng : Rng.t;  (* service draws + mix picks *)
   hist : Histogram.t;
   mutable s_submitted : int;
@@ -313,11 +178,16 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   let states =
     List.map2
       (fun spec cores ->
-        let iface = make_iface ~machine ~config ~spec ~cores in
-        iface.rt_set_allowance spec.guaranteed;
+        let rt =
+          Runtime.create spec.runtime machine (Kmod.create machine) ~cores
+            ~quantum:config.quantum ~timer_hz:config.timer_hz ()
+        in
+        let app = rt.Runtime.create_app ~name:spec.name in
+        rt.Runtime.set_core_allowance spec.guaranteed;
         {
           spec;
-          iface;
+          rt;
+          app;
           rng = Engine.split_rng engine;
           hist = Histogram.create ();
           s_submitted = 0;
@@ -342,9 +212,9 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
             burstable = st.spec.burstable;
           }
         ~initial:st.spec.guaranteed
-        ~sample:(fun () -> st.iface.rt_congestion ())
+        ~sample:(fun () -> st.rt.Runtime.congestion ())
         ~apply:(fun ~granted ~delta ->
-          st.iface.rt_set_allowance granted;
+          st.rt.Runtime.set_core_allowance granted;
           Costs.app_switch_ns * abs delta))
     states;
   (* Machine-wide observability plane: one shared flight recorder across
@@ -356,12 +226,15 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   let bases = Array.of_list (List.map List.hd ranges) in
   (match trace with
   | Some tr ->
-      List.iter (fun st -> st.iface.rt_set_trace tr) states;
+      List.iter (fun st -> st.rt.Runtime.set_trace tr) states;
       Broker.set_trace broker ~core_of_tenant:(fun i -> bases.(i)) tr
   | None -> ());
   (match registry with
   | Some reg ->
-      List.iter (fun st -> st.iface.rt_register reg) states;
+      List.iter
+        (fun st ->
+          st.rt.Runtime.register_metrics ~labels:[ ("tenant", st.spec.name) ] reg)
+        states;
       Broker.register_metrics broker reg
   | None -> ());
   let injector = Injector.create ~engine ~rng:inj_rng () in
@@ -375,25 +248,33 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
      join never fires); the retry loop guarantees every request settles
      as exactly one of completed or gave-up — the reconciliation
      invariant [lost = 0] the experiment asserts. *)
+  let submit (st : state) ~service ~fail ~k =
+    ignore
+      (st.rt.Runtime.submit st.app ~name:st.spec.name ~record:false
+         ~deadline:config.deadline
+         ~on_drop:(fun _ -> fail ())
+         (Coro.Compute
+            ( service,
+              fun () ->
+                k ();
+                Coro.Exit )))
+  in
   let issue (st : state) at =
     st.s_submitted <- st.s_submitted + 1;
     incr total_submitted;
     let rec exec shape ~fail ~k =
       match shape with
       | Shape.Single d | Shape.Chain [ d ] ->
-          st.iface.rt_submit ~name:st.spec.name
-            ~service:(Dist.sample d st.rng) ~on_drop:fail ~on_done:k
+          submit st ~service:(Dist.sample d st.rng) ~fail ~k
       | Shape.Chain [] -> assert false
       | Shape.Chain (d :: rest) ->
-          st.iface.rt_submit ~name:st.spec.name
-            ~service:(Dist.sample d st.rng) ~on_drop:fail
-            ~on_done:(fun () -> exec (Shape.Chain rest) ~fail ~k)
+          submit st ~service:(Dist.sample d st.rng) ~fail
+            ~k:(fun () -> exec (Shape.Chain rest) ~fail ~k)
       | Shape.Fanout { width; stage } ->
           let remaining = ref width in
           for _ = 1 to width do
-            st.iface.rt_submit ~name:st.spec.name
-              ~service:(Dist.sample stage st.rng) ~on_drop:fail
-              ~on_done:(fun () ->
+            submit st ~service:(Dist.sample stage st.rng) ~fail
+              ~k:(fun () ->
                 decr remaining;
                 if !remaining = 0 then k ())
           done
@@ -465,7 +346,7 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
             submitted = st.s_submitted;
             completed = st.s_completed;
             gave_up = st.s_gave_up;
-            deadline_drops = st.iface.rt_deadline_drops ();
+            deadline_drops = (st.rt.Runtime.counters ()).Runtime.deadline_drops;
             final_granted = Broker.granted broker ~tenant:i;
             final_health = Broker.health_name (Broker.health broker ~tenant:i);
             core_ns = Broker.core_ns broker ~tenant:i;

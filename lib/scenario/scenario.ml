@@ -11,6 +11,7 @@ module App = Skyloft.App
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Loadgen = Skyloft_net.Loadgen
+module Runtime = Skyloft_runtime.Runtime
 
 type bounds = { guaranteed : int; burstable : int option }
 type lc_spec = { lc_name : string; shape : Shape.t; arrival : Arrival.t }
@@ -98,15 +99,10 @@ let offered_load t =
 
 (* ---- compilation onto the runtimes -------------------------------------- *)
 
-type runtime = Percpu | Centralized | Hybrid | Worksteal
+type runtime = Runtime.kind = Percpu | Centralized | Hybrid | Worksteal
 
-let runtime_name = function
-  | Percpu -> "percpu"
-  | Centralized -> "centralized"
-  | Hybrid -> "hybrid"
-  | Worksteal -> "worksteal"
-
-let runtimes = [ Percpu; Centralized; Hybrid; Worksteal ]
+let runtime_name = Runtime.name
+let runtimes = Runtime.kinds
 
 type tenant_digest = {
   tenant : string;
@@ -136,16 +132,6 @@ let merged_latency d =
   List.iter (fun td -> Histogram.merge_into ~src:td.latency ~dst:all) d.tenants;
   all
 
-(* Runtime-neutral submission surface: what the compiled scenario needs
-   from a runtime, nothing more. *)
-type iface = {
-  submit : App.t -> name:string -> service:Time.t -> on_done:(unit -> unit) -> unit;
-  create_app : name:string -> App.t;
-  attach_be : App.t -> chunk:Time.t -> workers:int -> unit;
-  be_preemptions : unit -> int;
-  allocator : unit -> Allocator.t option;
-}
-
 (* The delay policy keeps reacting while LC is starved of cores (the
    utilization signal goes silent there); the BE tenant's declared bounds
    become the allocator's guaranteed/burstable band. *)
@@ -156,108 +142,6 @@ let alloc_config (bounds : bounds) =
     be_guaranteed = bounds.guaranteed;
     be_burstable = bounds.burstable;
   }
-
-let make_iface ~machine ~kmod ~runtime ~cores ~timer_hz ~quantum ~be_bounds =
-  match runtime with
-  | Percpu ->
-      let rt =
-        Skyloft.Percpu.create machine kmod ~cores:(List.init cores Fun.id)
-          ~timer_hz
-          (Skyloft_policies.Work_stealing.create ~quantum ())
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Percpu.spawn rt app ~name ~record:false
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Percpu.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            let bounds = Option.get be_bounds in
-            Skyloft.Percpu.attach_be_app rt ~alloc:(alloc_config bounds) app
-              ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Percpu.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Percpu.allocator rt);
-      }
-  | Centralized ->
-      let rt =
-        Skyloft.Centralized.create machine kmod ~dispatcher_core:0
-          ~worker_cores:(List.init cores (fun i -> i + 1))
-          ~quantum
-          ?alloc:(Option.map alloc_config be_bounds)
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Centralized.submit rt app ~record:false ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Centralized.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            Skyloft.Centralized.attach_be_app rt app ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Centralized.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Centralized.allocator rt);
-      }
-  | Hybrid ->
-      let rt =
-        Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
-          ~worker_cores:(List.init cores (fun i -> i + 1))
-          ~quantum
-          ?alloc:(Option.map alloc_config be_bounds)
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Hybrid.submit rt app ~record:false ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Hybrid.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            Skyloft.Hybrid.attach_be_app rt app ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Hybrid.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Hybrid.allocator rt);
-      }
-  | Worksteal ->
-      let rt =
-        Skyloft.Worksteal.create machine kmod ~cores:(List.init cores Fun.id)
-          ~timer_hz ~quantum ()
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Worksteal.spawn rt app ~name ~record:false
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Worksteal.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            let bounds = Option.get be_bounds in
-            Skyloft.Worksteal.attach_be_app rt ~alloc:(alloc_config bounds) app
-              ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Worksteal.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Worksteal.allocator rt);
-      }
 
 type lc_state = {
   l_spec : lc_spec;
@@ -294,10 +178,20 @@ let run ?(seed = 42) ~requests ~runtime scenario =
   let be_tenant =
     List.find_map (function Be b -> Some b | Lc _ -> None) scenario.tenants
   in
-  let iface =
-    make_iface ~machine ~kmod ~runtime ~cores:scenario.cores
-      ~timer_hz:scenario.timer_hz ~quantum:scenario.quantum
-      ~be_bounds:(Option.map (fun b -> b.bounds) be_tenant)
+  let rt =
+    Runtime.create runtime machine kmod ~cores:(List.init topo_cores Fun.id)
+      ~quantum:scenario.quantum ~timer_hz:scenario.timer_hz
+      ?alloc:(Option.map (fun b -> alloc_config b.bounds) be_tenant)
+      ()
+  in
+  let submit app ~name ~service ~on_done =
+    ignore
+      (rt.Runtime.submit app ~name ~record:false
+         (Coro.Compute
+            ( service,
+              fun () ->
+                on_done ();
+                Coro.Exit )))
   in
   (* Apps are created and RNG streams split in scenario order, before
      anything runs: the draw order is part of the seed contract. *)
@@ -308,7 +202,7 @@ let run ?(seed = 42) ~requests ~runtime scenario =
             Some
               {
                 l_spec = spec;
-                l_app = iface.create_app ~name:spec.lc_name;
+                l_app = rt.Runtime.create_app ~name:spec.lc_name;
                 l_rng = Engine.split_rng engine;
                 l_hist = Histogram.create ();
                 l_submitted = 0;
@@ -320,11 +214,11 @@ let run ?(seed = 42) ~requests ~runtime scenario =
   let arrival_rngs = List.map (fun _ -> Engine.split_rng engine) lcs in
   (match be_tenant with
   | Some { be_name; chunk; workers; _ } ->
-      let app = iface.create_app ~name:be_name in
+      let app = rt.Runtime.create_app ~name:be_name in
       let workers =
         match workers with Some w -> w | None -> scenario.cores
       in
-      iface.attach_be app ~chunk ~workers
+      rt.Runtime.attach_be app ~chunk ~workers
   | None -> ());
   let submitted = ref 0 and completed = ref 0 in
   let last_completion = ref 0 in
@@ -345,17 +239,17 @@ let run ?(seed = 42) ~requests ~runtime scenario =
     let rec exec shape k =
       match shape with
       | Shape.Single d | Shape.Chain [ d ] ->
-          iface.submit l.l_app ~name:l.l_spec.lc_name
+          submit l.l_app ~name:l.l_spec.lc_name
             ~service:(Dist.sample d l.l_rng) ~on_done:k
       | Shape.Chain [] -> assert false (* validated non-empty *)
       | Shape.Chain (d :: rest) ->
-          iface.submit l.l_app ~name:l.l_spec.lc_name
+          submit l.l_app ~name:l.l_spec.lc_name
             ~service:(Dist.sample d l.l_rng)
             ~on_done:(fun () -> exec (Shape.Chain rest) k)
       | Shape.Fanout { width; stage } ->
           let remaining = ref width in
           for _ = 1 to width do
-            iface.submit l.l_app ~name:l.l_spec.lc_name
+            submit l.l_app ~name:l.l_spec.lc_name
               ~service:(Dist.sample stage l.l_rng)
               ~on_done:(fun () ->
                 decr remaining;
@@ -404,11 +298,13 @@ let run ?(seed = 42) ~requests ~runtime scenario =
             latency = l.l_hist;
           })
         lcs;
-    be_preemptions = iface.be_preemptions ();
+    be_preemptions = (rt.Runtime.counters ()).Runtime.be_preemptions;
     alloc_grants =
-      (match iface.allocator () with Some a -> Allocator.grants a | None -> 0);
+      (match rt.Runtime.allocator () with Some a -> Allocator.grants a | None -> 0);
     alloc_reclaims =
-      (match iface.allocator () with Some a -> Allocator.reclaims a | None -> 0);
+      (match rt.Runtime.allocator () with
+      | Some a -> Allocator.reclaims a
+      | None -> 0);
   }
 
 (* ---- digests -------------------------------------------------------------- *)

@@ -79,7 +79,11 @@ val offered_load : t -> float
 
 (** {1 Compilation} *)
 
-type runtime = Percpu | Centralized | Hybrid | Worksteal
+type runtime = Skyloft_runtime.Runtime.kind =
+  | Percpu
+  | Centralized
+  | Hybrid
+  | Worksteal
 
 val runtime_name : runtime -> string
 val runtimes : runtime list
@@ -106,9 +110,9 @@ type digest = {
 }
 
 val run : ?seed:int -> requests:int -> runtime:runtime -> t -> digest
-(** Compile and run one cell: build the runtime (work-stealing per-CPU,
-    Shinjuku-Shenango centralized, the hybrid, or the steal-half deque
-    runtime), create one app per tenant, attach the BE tenant to the
+(** Compile and run one cell: build the runtime through
+    {!Skyloft_runtime.Runtime.create} at the scenario's [timer_hz] and
+    [quantum], create one app per tenant, attach the BE tenant to the
     allocator with its bounds, drive
     every LC tenant's arrival process through
     {!Skyloft_net.Loadgen.stream} until [requests] arrivals have been

@@ -549,6 +549,43 @@ let test_centralized_dispatcher_serializes () =
   Engine.run ~until:(Time.ms 5) engine;
   check Alcotest.bool "dispatcher-bound completion time" true (!last_done >= Time.us 200)
 
+(* Both per-CPU runtimes reject a core they do not manage with an error
+   naming the runtime and the core, instead of a bare [Not_found] (or, for
+   a pinned spawn under a policy that never looks the core up, silent
+   acceptance). *)
+let test_percpu_unmanaged_core () =
+  let runtimes () =
+    let engine = Engine.create () in
+    let machine =
+      Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8)
+    in
+    let pc =
+      Percpu.create machine (Kmod.create machine) ~cores:[ 0; 1 ]
+        (Skyloft_policies.Fifo.create ())
+    in
+    let ws =
+      Skyloft.Worksteal.create machine (Kmod.create machine) ~cores:[ 2; 3 ] ()
+    in
+    [ ("Percpu", pc, 5); ("Worksteal", Skyloft.Worksteal.percpu ws, 1) ]
+  in
+  List.iter
+    (fun (name, rt, core) ->
+      let app = Percpu.create_app rt ~name:"a" in
+      let expect what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s: %s on core %d" name what core)
+          (Invalid_argument
+             (Printf.sprintf "%s: core %d is not managed by this runtime" name
+                core))
+          (fun () -> ignore (f ()))
+      in
+      expect "current" (fun () -> Percpu.current rt ~core);
+      expect "fault_current" (fun () ->
+          Percpu.fault_current rt ~core ~duration:(Time.us 1));
+      expect "spawn ~cpu" (fun () ->
+          Percpu.spawn rt app ~name:"t" ~cpu:core Coro.Exit))
+    (runtimes ())
+
 let test_centralized_invalid_config () =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
@@ -599,4 +636,6 @@ let suite =
     Alcotest.test_case "centralized: dispatcher serializes" `Quick
       test_centralized_dispatcher_serializes;
     Alcotest.test_case "centralized: invalid config" `Quick test_centralized_invalid_config;
+    Alcotest.test_case "percpu+worksteal: unmanaged core rejected" `Quick
+      test_percpu_unmanaged_core;
   ]

@@ -84,7 +84,7 @@ let spawn st app ~name ?(service = 0) ?deadline ?on_drop body =
   kick_all st;
   (match deadline with
   | Some d ->
-      Rc.arm_deadline st.rc ?on_drop task ~deadline:d ~err:"stub: bad deadline"
+      Rc.arm_deadline st.rc ?on_drop task ~deadline:d ~who:"stub"
   | None -> ());
   task
 
@@ -183,7 +183,7 @@ let test_deadline_kills () =
     (List.sort compare !dropped);
   check int "no tasks left alive" 0 app.App.tasks_alive;
   check_raises "non-positive deadline rejected"
-    (Invalid_argument "stub: bad deadline") (fun () ->
+    (Invalid_argument "stub: deadline must be positive") (fun () ->
       ignore
         (spawn st app ~name:"bad" ~deadline:0 (Coro.Compute (1, fun () -> Coro.Exit))))
 

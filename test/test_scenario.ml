@@ -335,6 +335,25 @@ let test_be_tenant_scheduled () =
   check int "all LC completed" d.Scenario.submitted d.Scenario.completed;
   check bool "allocator granted cores to BE" true (d.Scenario.alloc_grants > 0)
 
+(* The scenario's timer frequency reaches every runtime with per-CPU
+   timers: a 2 kHz tick must change the cell against 100 kHz on percpu,
+   hybrid and worksteal alike (hybrid once ran at the default rate
+   whatever the scenario said). *)
+let test_timer_hz_reaches_runtime () =
+  let bursty = Skyloft_experiments.Scale.bursty_mmpp in
+  List.iter
+    (fun runtime ->
+      let digest timer_hz =
+        Scenario.digest_string
+          (Scenario.run ~seed:3 ~requests:3_000 ~runtime
+             { bursty with Scenario.timer_hz })
+      in
+      check bool
+        (Scenario.runtime_name runtime ^ ": 2 kHz and 100 kHz digests differ")
+        true
+        (digest 2_000 <> digest 100_000))
+    Scenario.[ Percpu; Hybrid; Worksteal ]
+
 (* ---- Bounded memory ---------------------------------------------------- *)
 
 (* The scale contract: live heap is O(tenants + in-flight), independent of
@@ -383,6 +402,8 @@ let suite =
     test_case "scenario: submitted ~ target" `Quick test_submitted_close_to_target;
     test_case "scenario: digest deterministic" `Slow test_digest_deterministic;
     test_case "scenario: BE tenant scheduled" `Quick test_be_tenant_scheduled;
+    test_case "scenario: timer_hz reaches the runtime" `Quick
+      test_timer_hz_reaches_runtime;
     test_case "scenario: bounded memory at 10M requests" `Slow
       test_bounded_memory;
   ]
