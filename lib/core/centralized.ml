@@ -98,21 +98,31 @@ let dispatcher_do t cost f =
 let rec start_on t w (task : Task.t) =
   w.reserved <- false;
   w.incoming <- -1;
-  t.dispatches <- t.dispatches + 1;
-  let switch_cost =
-    if task.Task.app = w.ex.Rc.active_app then t.mech.worker_switch
-    else Rc.app_switch t.rc w.ex task
-  in
-  task.Task.wake_time <- None;
-  let start = Rc.begin_run t.rc w.ex task ~switch_cost in
-  w.gen <- w.gen + 1;
-  (* Arm the quantum timer for LC work (Shinjuku-style PS): the worker's
-     one reusable timer, re-armed per dispatch, supersedes stale firings. *)
-  if t.quantum > 0 && not (Rc.is_be t.rc task) then begin
-    w.qt_gen <- w.gen;
-    Engine.arm w.qtimer ~at:(start + t.quantum)
-  end;
-  Rc.run_after_switch t.rc w.ex task ~switch_cost
+  if task.Task.killed then begin
+    (* Killed while the assignment was in flight (a deadline fired between
+       dequeue and arrival).  The drop was accounted at kill time; discard
+       exactly as [Rc.next_live] would have. *)
+    task.Task.state <- Task.Exited;
+    if not (Rc.is_be t.rc task) then t.rc.Rc.policy.task_terminate task;
+    try_next t w
+  end
+  else begin
+    t.dispatches <- t.dispatches + 1;
+    let switch_cost =
+      if task.Task.app = w.ex.Rc.active_app then t.mech.worker_switch
+      else Rc.app_switch t.rc w.ex task
+    in
+    task.Task.wake_time <- None;
+    let start = Rc.begin_run t.rc w.ex task ~switch_cost in
+    w.gen <- w.gen + 1;
+    (* Arm the quantum timer for LC work (Shinjuku-style PS): the worker's
+       one reusable timer, re-armed per dispatch, supersedes stale firings. *)
+    if t.quantum > 0 && not (Rc.is_be t.rc task) then begin
+      w.qt_gen <- w.gen;
+      Engine.arm w.qtimer ~at:(start + t.quantum)
+    end;
+    Rc.run_after_switch t.rc w.ex task ~switch_cost
+  end
 
 and assign t w (task : Task.t) =
   w.reserved <- true;

@@ -26,6 +26,7 @@ module Alloc_policy = Skyloft_alloc.Policy
 module Plan = Skyloft_fault.Plan
 module Injector = Skyloft_fault.Injector
 module E = Skyloft_experiments
+module Runtime = Skyloft_runtime.Runtime
 
 (* ---- machine-level interrupt fate hook ---- *)
 
@@ -381,6 +382,36 @@ let test_centralized_deadline_kill () =
   check int "runtime counter agrees" 2 (Centralized.deadline_drops rt);
   check int "summary drop accounting agrees" 2 (Summary.drops app.App.summary)
 
+(* ---- dispatcher kinds: deadline inside the assignment window ---- *)
+
+(* Regression: a task is dequeued and its start lands [dispatch_cost]
+   (100 ns) later.  A deadline firing inside that window finds the task
+   still Runnable and records the drop; the centralized start path then
+   ran the task to completion anyway, counting it both dropped and
+   completed and driving [tasks_alive] negative. *)
+let test_dispatcher_deadline_in_flight () =
+  List.iter
+    (fun kind ->
+      let engine = Engine.create () in
+      let machine =
+        Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2)
+      in
+      let kmod = Kmod.create machine in
+      let rt = Runtime.create kind machine kmod ~cores:[ 0; 1 ] ~quantum:0 () in
+      let app = rt.Runtime.create_app ~name:"a" in
+      let dropped = ref 0 and completed = ref 0 in
+      ignore
+        (rt.Runtime.submit app ~name:"req" ~deadline:50
+           ~on_drop:(fun _ -> incr dropped)
+           (Coro.Compute (Time.us 10, fun () -> incr completed; Coro.Exit)));
+      Engine.run ~until:(Time.ms 1) engine;
+      let name = Runtime.name kind in
+      check int (name ^ ": dropped once") 1 !dropped;
+      check int (name ^ ": never ran") 0 !completed;
+      check int (name ^ ": app completions") 0 app.App.completed;
+      check int (name ^ ": no task alive") 0 app.App.tasks_alive)
+    Runtime.[ Centralized; Hybrid ]
+
 (* ---- allocator: graceful degradation and recovery ---- *)
 
 let test_allocator_degrades_and_recovers () =
@@ -491,6 +522,8 @@ let suite =
     test_case "centralized: dispatcher failover" `Quick
       test_centralized_dispatcher_failover;
     test_case "centralized: deadline kill" `Quick test_centralized_deadline_kill;
+    test_case "dispatcher kinds: deadline inside the assignment window" `Quick
+      test_dispatcher_deadline_in_flight;
     test_case "allocator: degrade and recover" `Quick
       test_allocator_degrades_and_recovers;
     test_case "zero-service requests reconcile" `Quick
