@@ -9,9 +9,9 @@
    kernel module, and every move pays the §5.4 inter-app switch cost.
 
    The same colocation runs twice: once under the centralized dispatcher
-   and once under the hybrid runtime.  The BE workers, the allocator and
-   the accounting live in the shared Runtime_core substrate, so the
-   second run differs only in the dispatch mechanism on top.
+   and once under the hybrid runtime, which is the same runtime with its
+   mode switch on.  The BE workers, the allocator and the accounting are
+   shared, so the second run differs only in the dispatch mechanism.
 
      dune exec examples/colocate.exe *)
 
@@ -22,7 +22,6 @@ module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Centralized = Skyloft.Centralized
-module Hybrid = Skyloft.Hybrid
 module App = Skyloft.App
 module Summary = Skyloft_stats.Summary
 module Dist = Skyloft_sim.Dist
@@ -30,17 +29,6 @@ module Loadgen = Skyloft_net.Loadgen
 module Packet = Skyloft_net.Packet
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
-
-(* One runtime's view of the colocation: how to submit, and where the
-   BE-preemption and allocator counters live. *)
-type colo = {
-  lc : App.t;
-  batch : App.t;
-  submit : name:string -> service:Time.t -> unit;
-  be_preemptions : unit -> int;
-  allocator : unit -> Allocator.t option;
-  extra : unit -> string;
-}
 
 let duration = Time.ms 100
 
@@ -50,55 +38,17 @@ let alloc_cfg () =
     Allocator.policy = Alloc_policy.delay ~threshold:(Time.us 10) ();
   }
 
-let make_centralized machine kmod =
+let run_colocation name ?percore_hz ctor =
+  let engine = Engine.create ~seed:11 () in
+  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
+  let kmod = Kmod.create machine in
   let rt =
     Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
-      ~quantum:(Time.us 30) ~alloc:(alloc_cfg ())
-      (Skyloft_policies.Shinjuku.create ())
+      ~quantum:(Time.us 30) ~alloc:(alloc_cfg ()) ?percore_hz ctor
   in
   let lc = Centralized.create_app rt ~name:"lc-service" in
   let batch = Centralized.create_app rt ~name:"batch" in
   Centralized.attach_be_app rt batch ~chunk:(Time.us 50) ~workers:4;
-  {
-    lc;
-    batch;
-    submit =
-      (fun ~name ~service ->
-        ignore
-          (Centralized.submit rt lc ~name ~service
-             (Coro.compute_then_exit service)));
-    be_preemptions = (fun () -> Centralized.be_preemptions rt);
-    allocator = (fun () -> Centralized.allocator rt);
-    extra = (fun () -> "");
-  }
-
-let make_hybrid machine kmod =
-  let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
-      ~quantum:(Time.us 30) ~alloc:(alloc_cfg ())
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Hybrid.create_app rt ~name:"lc-service" in
-  let batch = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt batch ~chunk:(Time.us 50) ~workers:4;
-  {
-    lc;
-    batch;
-    submit =
-      (fun ~name ~service ->
-        ignore
-          (Hybrid.submit rt lc ~name ~service (Coro.compute_then_exit service)));
-    be_preemptions = (fun () -> Hybrid.be_preemptions rt);
-    allocator = (fun () -> Hybrid.allocator rt);
-    extra =
-      (fun () -> Printf.sprintf ", %d mode switches" (Hybrid.mode_switches rt));
-  }
-
-let run_colocation name make =
-  let engine = Engine.create ~seed:11 () in
-  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
-  let kmod = Kmod.create machine in
-  let c = make machine kmod in
 
   (* A bursty LC stream: 2ms of high load alternating with 2ms of quiet. *)
   let rng = Engine.split_rng engine in
@@ -107,7 +57,9 @@ let run_colocation name make =
     if t < duration then begin
       Loadgen.poisson engine ~rng ~rate_rps:150_000.0 ~service ~start:t
         ~duration:(Time.ms 2) (fun (pkt : Packet.t) ->
-          c.submit ~name:"req" ~service:pkt.service);
+          ignore
+            (Centralized.submit rt lc ~name:"req" ~service:pkt.service
+               (Coro.compute_then_exit pkt.service)));
       burst (t + Time.ms 4)
     end
   in
@@ -117,14 +69,18 @@ let run_colocation name make =
   let total = 4 * (duration + Time.ms 10) in
   Printf.printf "---- %s ----\n" name;
   Printf.printf "LC requests served:  %d (p99 latency %s)\n"
-    (Summary.requests c.lc.App.summary)
-    (Format.asprintf "%a" Time.pp (Summary.latency_p c.lc.App.summary 99.0));
+    (Summary.requests lc.App.summary)
+    (Format.asprintf "%a" Time.pp (Summary.latency_p lc.App.summary 99.0));
   Printf.printf "LC CPU share:        %.1f%%\n"
-    (100.0 *. App.cpu_share c.lc ~total_ns:total);
+    (100.0 *. App.cpu_share lc ~total_ns:total);
   Printf.printf "batch CPU share:     %.1f%%  (reclaimed %d times by user IPIs%s)\n"
-    (100.0 *. App.cpu_share c.batch ~total_ns:total)
-    (c.be_preemptions ()) (c.extra ());
-  (match c.allocator () with
+    (100.0 *. App.cpu_share batch ~total_ns:total)
+    (Centralized.be_preemptions rt)
+    (match percore_hz with
+    | None -> ""
+    | Some _ ->
+        Printf.sprintf ", %d mode switches" (Centralized.mode_switches rt));
+  (match Centralized.allocator rt with
   | Some alloc ->
       Printf.printf
         "core allocator:      %s policy, %d grants / %d reclaims / %d yields\n"
@@ -136,8 +92,9 @@ let run_colocation name make =
   | None -> ())
 
 let () =
-  run_colocation "centralized dispatcher" make_centralized;
-  run_colocation "hybrid runtime" make_hybrid;
+  run_colocation "centralized dispatcher" (Skyloft_policies.Shinjuku.create ());
+  run_colocation "hybrid runtime" ~percore_hz:100_000
+    (fst (Skyloft_policies.Shinjuku_shenango.create ()));
   Printf.printf
     "=> the batch app runs in the LC service's idle valleys and is evicted\n";
   Printf.printf

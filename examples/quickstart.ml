@@ -70,7 +70,8 @@ let () =
   Printf.printf
     "=> without the 50us time slice every short would have waited ~2ms\n";
 
-  (* 5. The hybrid runtime on a fresh machine: centralized dispatch while
+  (* 5. The hybrid runtime on a fresh machine — the centralized runtime
+     with its mode switch on ([~percore_hz]): centralized dispatch while
      the shared queue is shallow (best low-load tail), per-CPU preemption
      timers once it deepens (no serial-dispatcher ceiling).  A quiet
      trickle keeps it in Central mode; a mid-run burst pushes the queue
@@ -80,16 +81,16 @@ let () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Skyloft.Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
-      ~quantum:(Time.us 30)
+    Skyloft.Centralized.create machine kmod ~dispatcher_core:0
+      ~worker_cores:[ 1; 2; 3 ] ~quantum:(Time.us 30) ~percore_hz:100_000
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
-  let app = Skyloft.Hybrid.create_app rt ~name:"quickstart-hybrid" in
+  let app = Skyloft.Centralized.create_app rt ~name:"quickstart-hybrid" in
   for i = 1 to 30 do
     ignore
       (Engine.at engine (Time.us (100 * i)) (fun () ->
            ignore
-             (Skyloft.Hybrid.submit rt app
+             (Skyloft.Centralized.submit rt app
                 ~name:(Printf.sprintf "trickle-%d" i)
                 ~service:(Time.us 10)
                 (Coro.compute_then_exit (Time.us 10)))))
@@ -98,7 +99,7 @@ let () =
     (Engine.at engine (Time.ms 1) (fun () ->
          for i = 1 to 24 do
            ignore
-             (Skyloft.Hybrid.submit rt app
+             (Skyloft.Centralized.submit rt app
                 ~name:(Printf.sprintf "burst-%d" i)
                 ~service:(Time.us 40)
                 (Coro.compute_then_exit (Time.us 40)))
@@ -106,13 +107,13 @@ let () =
   Engine.run ~until:(Time.ms 5) engine;
   Printf.printf "\nhybrid runtime: %d requests, %d dispatcher assignments,\n"
     app.App.completed
-    (Skyloft.Hybrid.dispatches rt);
+    (Skyloft.Centralized.dispatches rt);
   Printf.printf "%d timer ticks, %d mode switches (ends in %s mode)\n"
-    (Skyloft.Hybrid.timer_ticks rt)
-    (Skyloft.Hybrid.mode_switches rt)
-    (match Skyloft.Hybrid.mode rt with
-    | Skyloft.Hybrid.Central -> "central"
-    | Skyloft.Hybrid.Percore -> "percore");
+    (Skyloft.Centralized.timer_ticks rt)
+    (Skyloft.Centralized.mode_switches rt)
+    (match Skyloft.Centralized.mode rt with
+    | Skyloft.Centralized.Central -> "central"
+    | Skyloft.Centralized.Percore -> "percore");
   Printf.printf
     "=> the burst crossed the depth threshold: per-core timers took over,\n";
   Printf.printf "   then the dispatcher got the cores back as the queue drained\n"

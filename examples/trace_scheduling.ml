@@ -62,18 +62,18 @@ let () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Skyloft.Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
-      ~quantum:(Time.us 20)
+    Skyloft.Centralized.create machine kmod ~dispatcher_core:0
+      ~worker_cores:[ 1; 2; 3 ] ~quantum:(Time.us 20) ~percore_hz:100_000
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
   let trace = Trace.create () in
-  Skyloft.Hybrid.set_trace rt trace;
-  let lc = Skyloft.Hybrid.create_app rt ~name:"service" in
+  Skyloft.Centralized.set_trace rt trace;
+  let lc = Skyloft.Centralized.create_app rt ~name:"service" in
   for i = 1 to 20 do
     ignore
       (Engine.at engine (Time.us (37 * i)) (fun () ->
            ignore
-             (Skyloft.Hybrid.submit rt lc
+             (Skyloft.Centralized.submit rt lc
                 ~name:(Printf.sprintf "req-%d" i)
                 ~service:(Time.us 15)
                 (Coro.compute_then_exit (Time.us 15)))))
@@ -82,7 +82,7 @@ let () =
     (Engine.at engine (Time.us 300) (fun () ->
          for i = 1 to 16 do
            ignore
-             (Skyloft.Hybrid.submit rt lc
+             (Skyloft.Centralized.submit rt lc
                 ~name:(Printf.sprintf "burst-%d" i)
                 ~service:(Time.us 30)
                 (Coro.compute_then_exit (Time.us 30)))
@@ -100,7 +100,7 @@ let () =
   Trace.write_chrome_json trace ~path;
   Printf.printf "\nhybrid: %d requests, %d mode switches (%d instants in the trace)\n"
     lc.App.completed
-    (Skyloft.Hybrid.mode_switches rt)
+    (Skyloft.Centralized.mode_switches rt)
     mode_instants;
   Printf.printf "wrote %s\n" path;
   Printf.printf

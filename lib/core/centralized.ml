@@ -15,7 +15,13 @@ module Rc = Runtime_core
    dedicated dispatcher core modelled as a serial resource that assigns
    work to workers and preempts over-quantum requests with IPIs
    (Shinjuku-style PS).  Lifecycle, accounting, BE occupancy, deadlines,
-   allocator and metrics all live in the core. *)
+   allocator and metrics all live in the core.
+
+   With the mode switch on (the hybrid runtime) a monitor hands the
+   workers from the dispatcher to per-core timers while the shared queue
+   is deep: in [Percore] mode idle workers pick from the queue themselves
+   and a delegated timer per worker preempts.  With it off no tick or
+   monitor timer exists and the mode stays [Central]. *)
 
 type mechanism = {
   mech_name : string;
@@ -61,11 +67,14 @@ let ghost_mechanism =
     worker_switch = Costs.linux_ctx_switch_ns;
   }
 
+type mode = Central | Percore
+
 type worker = {
   ex : Rc.exec;
   mutable gen : int;  (* assignment generation, guards stale events *)
   mutable reserved : bool;  (* an assignment is in flight *)
   mutable incoming : int;  (* app of the in-flight assignment; -1 if none *)
+  mutable kick_pending : bool;  (* percore mode: a kick is scheduled *)
   qtimer : Engine.timer;  (* reusable quantum timer, re-armed per dispatch *)
   mutable qt_gen : int;  (* [gen] at the last quantum arm *)
 }
@@ -74,17 +83,28 @@ type t = {
   rc : Rc.t;
   dispatcher_core : int;
   workers : worker array;
+  by_core : (int, worker) Hashtbl.t;
   mech : mechanism;
   quantum : Time.t;
+  tick_period : Time.t;  (* percore timer period; 0 with the switch off *)
   alloc_cfg : Allocator.config;
   immediate : bool;  (* preempt BE the instant an LC request cannot place *)
+  mutable mode : mode;
+  mutable mode_switches : int;
   mutable disp_busy_until : Time.t;
   mutable dispatches : int;
+  mutable ticks : int;
   mutable failovers : int;
 }
 
+(* The monitor samples the queue every [check_period] and, with
+   hysteresis, switches to percore past twice the worker count and back
+   at half of it or below. *)
+let check_period = Time.us 25
+
 let now t = Rc.now t.rc
-let quantum t = t.quantum
+let worker_of t core = Hashtbl.find t.by_core core
+let queue_length t = t.rc.Rc.probe.Sched_ops.queued ()
 
 (* The dispatcher is a serial resource; [f] runs when it has spent [cost]
    on this operation. *)
@@ -92,6 +112,17 @@ let dispatcher_do t cost f =
   let start = max (now t) t.disp_busy_until in
   t.disp_busy_until <- start + cost;
   ignore (Engine.at t.rc.Rc.engine (start + cost) f)
+
+(* Interrupt handling steals CPU time from the running segment (percore
+   mode); the cost is charged to the victim as scheduling overhead. *)
+let steal_time t w cost =
+  match w.ex.Rc.current with
+  | Some task when not (Eventq.is_null w.ex.Rc.completion) ->
+      Engine.cancel t.rc.Rc.engine w.ex.Rc.completion;
+      task.Task.segment_end <- task.Task.segment_end + cost;
+      task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;
+      Rc.arm_completion t.rc w.ex task
+  | _ -> ()
 
 (* ---- worker-side execution ---------------------------------------------- *)
 
@@ -104,7 +135,7 @@ let rec start_on t w (task : Task.t) =
        exactly as [Rc.next_live] would have. *)
     task.Task.state <- Task.Exited;
     if not (Rc.is_be t.rc task) then t.rc.Rc.policy.task_terminate task;
-    try_next t w
+    reschedule t w ~prev:None
   end
   else begin
     t.dispatches <- t.dispatches + 1;
@@ -145,6 +176,48 @@ and try_next t w =
           | None -> ())
   end
 
+(* Percore-mode scheduling: the worker picks from the shared queue
+   synchronously, no dispatcher in the path. *)
+and schedule t w ~prev =
+  if (not w.reserved) && w.ex.Rc.current = None && not (Rc.unit_capped t.rc w.ex)
+  then begin
+    let rc = t.rc in
+    let pick () =
+      let be_next =
+        if Rc.be_occupancy rc < rc.Rc.be_allowance then
+          Runqueue.pop_head rc.Rc.be_queue
+        else None
+      in
+      match be_next with
+      | Some task -> Some task
+      | None -> (
+          match rc.Rc.policy.task_dequeue ~cpu:w.ex.Rc.exec_core with
+          | Some task -> Some task
+          | None -> rc.Rc.policy.sched_balance ~cpu:w.ex.Rc.exec_core)
+    in
+    match Rc.next_live rc pick with
+    | None -> ()
+    | Some task ->
+        let same = match prev with Some p -> p == task | None -> false in
+        let cost =
+          if same then 0
+          else if task.Task.app = w.ex.Rc.active_app then begin
+            rc.Rc.switches <- rc.Rc.switches + 1;
+            Costs.uthread_yield_ns
+          end
+          else Rc.app_switch rc w.ex task
+        in
+        task.Task.wake_time <- None;
+        ignore (Rc.begin_run rc w.ex task ~switch_cost:cost);
+        w.gen <- w.gen + 1;
+        Rc.run_after_switch rc w.ex task ~switch_cost:cost
+  end
+
+and reschedule t w ~prev =
+  match t.mode with
+  | Central -> try_next t w
+  | Percore -> schedule t w ~prev
+
 (* Preemption of the task currently on [w]; the caller already charged the
    delivery latency.  [requeue] decides where the preempted task goes. *)
 and do_preempt t w gen ~requeue =
@@ -152,7 +225,7 @@ and do_preempt t w gen ~requeue =
     match Rc.depose t.rc w.ex ~overhead:t.mech.preempt_receive with
     | Some task ->
         requeue task;
-        try_next t w
+        reschedule t w ~prev:(Some task)
     | None -> ()
 
 (* The preemption notification in flight from dispatcher to worker.  Its
@@ -197,17 +270,135 @@ let quantum_fire t w =
   | Some task -> quantum_check t w task w.qt_gen
   | None -> ()
 
+(* Percore-mode preemption: synchronous, the caller already charged the
+   receive cost to the victim. *)
+let preempt_now t w =
+  match Rc.depose t.rc w.ex ~overhead:0 with
+  | Some task ->
+      if Rc.is_be t.rc task then begin
+        t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
+        Runqueue.push_head t.rc.Rc.be_queue task
+      end
+      else begin
+        t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+        t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
+          ~reason:Sched_ops.Enq_preempted task
+      end;
+      schedule t w ~prev:(Some task)
+  | None -> ()
+
 let preempt_be_worker t w =
   match w.ex.Rc.current with
   | Some task
     when Rc.is_be t.rc task && not (Eventq.is_null w.ex.Rc.completion) ->
-      let gen = w.gen in
-      t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
-      dispatcher_do t t.mech.preempt_send (fun () ->
-          deliver_preempt t w gen ~requeue:(fun task ->
-              Runqueue.push_head t.rc.Rc.be_queue task));
+      (match t.mode with
+      | Central ->
+          let gen = w.gen in
+          t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
+          dispatcher_do t t.mech.preempt_send (fun () ->
+              deliver_preempt t w gen ~requeue:(fun task ->
+                  Runqueue.push_head t.rc.Rc.be_queue task))
+      | Percore ->
+          steal_time t w (Costs.uipi_receive_ns ~cross_numa:false);
+          preempt_now t w);
       true
   | _ -> false
+
+(* ---- kicks and the shared-queue poke (percore mode) ---------------------- *)
+
+let kick t w =
+  if w.ex.Rc.current = None && (not w.kick_pending) && not w.reserved then begin
+    w.kick_pending <- true;
+    let delay = max 0 (w.ex.Rc.stolen_until - now t) in
+    ignore
+      (Engine.after t.rc.Rc.engine delay (fun () ->
+           w.kick_pending <- false;
+           if w.ex.Rc.current = None then reschedule t w ~prev:None))
+  end
+
+(* Give [w] a chance at queued work: the dispatcher assigns it some
+   (central), or an idle [w] is kicked to pick for itself (percore). *)
+let redrive t w =
+  match t.mode with
+  | Central -> try_next t w
+  | Percore -> if w.ex.Rc.current = None then kick t w
+
+(* One pass in worker order suffices: [try_next] on a free worker either
+   reserves it or drains the queue, and frees no other worker. *)
+let pump t =
+  let i = ref 0 in
+  while !i < Array.length t.workers && queue_length t > 0 do
+    try_next t t.workers.(!i);
+    incr i
+  done;
+  (* No free worker: under immediate reclaim, kick BE work off a core. *)
+  if t.immediate && queue_length t > 0 then begin
+    let want = queue_length t in
+    let reclaimed = ref 0 in
+    Array.iter
+      (fun w -> if !reclaimed < want && preempt_be_worker t w then incr reclaimed)
+      t.workers
+  end
+
+(* New work arrived in the shared queue: the mode decides who notices. *)
+let poke t =
+  match t.mode with
+  | Central -> pump t
+  | Percore -> (
+      match Sched_ops.pick_idle (Rc.view t.rc) with
+      | Some core -> kick t (worker_of t core)
+      | None -> ())
+
+(* ---- the mode monitor and percore timer ticks ---------------------------- *)
+
+let flip t m =
+  t.mode <- m;
+  t.mode_switches <- t.mode_switches + 1;
+  Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Mode_switch
+    (match m with Central -> "central" | Percore -> "percore");
+  match m with
+  | Percore ->
+      (* Idle workers now self-schedule; wake them up. *)
+      Array.iter (fun w -> kick t w) t.workers
+  | Central -> pump t
+
+let check_mode t =
+  let depth = queue_length t and n = Array.length t.workers in
+  match t.mode with
+  | Central when depth > 2 * n -> flip t Percore
+  | Percore when depth <= n / 2 -> flip t Central
+  | Central | Percore -> ()
+
+(* One delegated timer per worker core.  The timer only acts in percore
+   mode; in central mode preemption is the dispatcher's quantum timer.  A
+   task that started under one mode and survived a flip is preempted by
+   whichever mechanism the current mode provides (plus the watchdog as the
+   backstop), so no run can outlive both. *)
+let on_tick t w =
+  if t.mode = Percore && now t >= w.ex.Rc.stolen_until then begin
+    t.ticks <- t.ticks + 1;
+    steal_time t w (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
+    match w.ex.Rc.current with
+    | Some _
+      when (not (Eventq.is_null w.ex.Rc.completion))
+           && Rc.unit_capped t.rc w.ex ->
+        (* Broker-capped worker: the tick only enforces the cap (backstop
+           for a run that slipped in around a shrink). *)
+        preempt_now t w
+    | Some task when not (Eventq.is_null w.ex.Rc.completion) ->
+        if Rc.is_be t.rc task then begin
+          if Rc.be_occupancy t.rc > t.rc.Rc.be_allowance then preempt_now t w
+        end
+        else if
+          (* The policy gets first say; single-queue policies written for
+             the dispatcher leave ticks alone, so the quantum is enforced
+             here — percore mode timeshares exactly like central mode,
+             just from the local timer instead of a dispatcher IPI. *)
+          t.rc.Rc.policy.sched_timer_tick ~cpu:w.ex.Rc.exec_core task
+          || (t.quantum > 0 && now t - task.Task.run_start >= t.quantum)
+        then preempt_now t w
+    | _ -> if not (Rc.unit_capped t.rc w.ex) then kick t w
+  end
 
 (* ---- watchdog: dispatcher failover + stuck-worker rescue ----------------- *)
 
@@ -235,11 +426,13 @@ let watchdog_scan t ~bound =
       if now t >= w.ex.Rc.stolen_until then
         match w.ex.Rc.current with
         | Some task when not (Eventq.is_null w.ex.Rc.completion) ->
-            (* A quantum-sized run is legitimate; a full bound past the
-               expected preemption point means the preemption was lost. *)
+            (* A run up to the quantum, or a tick period under percore
+               mode, is legitimate; a full bound past the expected
+               preemption point means the preemption was lost. *)
             let allowed =
               bound
-              + if t.quantum > 0 && not (Rc.is_be t.rc task) then t.quantum else 0
+              + if Rc.is_be t.rc task then 0
+                else max (max t.quantum 0) t.tick_period
             in
             let overrun = now t - task.Task.run_start - allowed in
             if overrun > 0 then rescue_worker t w ~late:overrun
@@ -248,13 +441,11 @@ let watchdog_scan t ~bound =
 
 (* ---- core allocation ----------------------------------------------------- *)
 
-let queue_length t = t.rc.Rc.probe.Sched_ops.queued ()
-
 (* Change how many workers BE may occupy.  Shrinking preempts the excess
    BE workers with user IPIs; the next LC dispatch on those cores goes
    through [Kmod.switch_to], charging the §5.4 inter-application switch
-   cost.  Growing kicks idle workers so they pick up BE work (again paying
-   the switch cost at dispatch). *)
+   cost.  Growing redrives idle workers so they pick up BE work (again
+   paying the switch cost at dispatch). *)
 let set_be_allowance t n =
   let old = t.rc.Rc.be_allowance in
   t.rc.Rc.be_allowance <- n;
@@ -265,25 +456,33 @@ let set_be_allowance t n =
         (fun w -> if !excess > 0 && preempt_be_worker t w then decr excess)
         t.workers
   end
-  else if n > old then Array.iter (fun w -> try_next t w) t.workers
+  else if n > old then Array.iter (redrive t) t.workers
 
 (* Preempt whatever runs on [w] — LC or BE — because the broker capped the
    worker out; the refugee requeues at the dispatcher (LC) or BE queue
-   head.  Rides the same send/deliver path as quantum preemption, so IPI
-   faults apply and [try_next]'s gate keeps the worker empty afterwards. *)
+   head.  In central mode it rides the same send/deliver path as quantum
+   preemption, so IPI faults apply and [try_next]'s gate keeps the worker
+   empty afterwards; in percore mode it is a synchronous local preemption
+   with the receive cost charged. *)
 let preempt_capped_worker t w =
   match w.ex.Rc.current with
-  | Some task when not (Eventq.is_null w.ex.Rc.completion) ->
-      let gen = w.gen in
-      if Rc.is_be t.rc task then
-        t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
-      else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-      dispatcher_do t t.mech.preempt_send (fun () ->
-          deliver_preempt t w gen ~requeue:(fun task ->
-              if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
-              else
-                t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-                  ~reason:Sched_ops.Enq_preempted task))
+  | Some task when not (Eventq.is_null w.ex.Rc.completion) -> (
+      match t.mode with
+      | Central ->
+          let gen = w.gen in
+          if Rc.is_be t.rc task then
+            t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
+          else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+          dispatcher_do t t.mech.preempt_send (fun () ->
+              deliver_preempt t w gen ~requeue:(fun task ->
+                  if Rc.is_be t.rc task then
+                    Runqueue.push_head t.rc.Rc.be_queue task
+                  else
+                    t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
+                      ~reason:Sched_ops.Enq_preempted task))
+      | Percore ->
+          steal_time t w (Costs.uipi_receive_ns ~cross_numa:false);
+          preempt_now t w)
   | _ -> ()
 
 (* The machine-level broker's reclaim/grant muscle: how many workers this
@@ -291,8 +490,8 @@ let preempt_capped_worker t w =
    workers are always the creation-order prefix).  Shrinking preempts the
    newly capped workers; an assignment already in flight toward one still
    runs its segment there — enforcement happens at the next scheduling
-   point, exactly like a quantum.  Growing redrives dispatch over the
-   workers handed back. *)
+   point, exactly like a quantum.  Growing redrives the workers handed
+   back. *)
 let set_core_allowance t n =
   let old = t.rc.Rc.core_allowance in
   Rc.set_core_allowance t.rc n;
@@ -301,15 +500,18 @@ let set_core_allowance t n =
     Array.iter
       (fun w -> if Rc.unit_capped t.rc w.ex then preempt_capped_worker t w)
       t.workers
-  else if n > old then Array.iter (fun w -> try_next t w) t.workers
+  else if n > old then
+    Array.iter
+      (fun w -> if not (Rc.unit_capped t.rc w.ex) then redrive t w)
+      t.workers
 
-let core_allowance t = t.rc.Rc.core_allowance
 let congestion t = Rc.congestion t.rc
 
 (* ---- construction -------------------------------------------------------- *)
 
 let create machine kmod ~dispatcher_core ~worker_cores ~quantum
-    ?(mechanism = skyloft_mechanism) ?alloc ?(immediate = false) ?watchdog ctor =
+    ?(mechanism = skyloft_mechanism) ?alloc ?(immediate = false) ?watchdog
+    ?percore_hz ctor =
   if worker_cores = [] then invalid_arg "Centralized.create: no worker cores";
   if List.mem dispatcher_core worker_cores then
     invalid_arg "Centralized.create: dispatcher core cannot also be a worker";
@@ -317,6 +519,12 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
   | Some bound when bound <= 0 ->
       invalid_arg "Centralized.create: watchdog bound must be positive"
   | Some _ | None -> ());
+  let tick_period =
+    match percore_hz with
+    | None -> 0
+    | Some hz when hz > 0 -> max 1 (1_000_000_000 / hz)
+    | Some _ -> invalid_arg "Centralized.create: percore_hz must be positive"
+  in
   let alloc = match alloc with Some a -> a | None -> Allocator.default_config () in
   let engine = Machine.engine machine in
   let workers =
@@ -328,6 +536,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
              gen = 0;
              reserved = false;
              incoming = -1;
+             kick_pending = false;
              qtimer = Engine.timer engine ignore;
              qt_gen = 0;
            })
@@ -335,32 +544,38 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
   in
   let t =
     {
-      rc = Rc.create machine kmod ~record_wakeups:false ~trace_app_switches:false;
+      rc =
+        Rc.create machine kmod ~record_wakeups:false
+          ~trace_app_switches:(tick_period > 0);
       dispatcher_core;
       workers;
+      by_core = Hashtbl.create 16;
       mech = mechanism;
       quantum;
+      tick_period;
       alloc_cfg = alloc;
       immediate;
+      mode = Central;
+      mode_switches = 0;
       disp_busy_until = 0;
       dispatches = 0;
+      ticks = 0;
       failovers = 0;
     }
   in
-  let by_core = Hashtbl.create 16 in
-  Array.iter (fun w -> Hashtbl.replace by_core w.ex.Rc.exec_core w) workers;
+  Array.iter (fun w -> Hashtbl.replace t.by_core w.ex.Rc.exec_core w) workers;
   Array.iter (fun w -> Engine.set_callback w.qtimer (fun () -> quantum_fire t w)) workers;
   Rc.install_dispatch t.rc
     {
-      Rc.d_name = "centralized";
-      d_units = Array.map (fun w -> w.ex) workers;
+      Rc.d_units = Array.map (fun w -> w.ex) workers;
       d_enqueue_cpu = (fun _ -> t.dispatcher_core);
-      d_incoming_app =
-        (fun ex -> (Hashtbl.find by_core ex.Rc.exec_core).incoming);
-      d_released = (fun ex -> let w = Hashtbl.find by_core ex.Rc.exec_core in
-                              w.gen <- w.gen + 1);
+      d_incoming_app = (fun ex -> (worker_of t ex.Rc.exec_core).incoming);
+      d_released =
+        (fun ex ->
+          let w = worker_of t ex.Rc.exec_core in
+          w.gen <- w.gen + 1);
       d_reschedule =
-        (fun ex ~prev:_ -> try_next t (Hashtbl.find by_core ex.Rc.exec_core));
+        (fun ex ~prev -> reschedule t (worker_of t ex.Rc.exec_core) ~prev);
     };
   Rc.install_policy t.rc ctor;
   Array.iter
@@ -375,6 +590,21 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
     workers;
   Kmod.on_steal kmod ~core:dispatcher_core (fun ~duration ->
       t.disp_busy_until <- max t.disp_busy_until (now t + duration));
+  (* The mode switch: per-core delegated timers (no-ops outside percore
+     mode, so central mode pays no tick overhead) and the depth monitor. *)
+  if tick_period > 0 then begin
+    Array.iter
+      (fun w ->
+        ignore
+          (Engine.every t.rc.Rc.engine ~period:tick_period (fun () ->
+               on_tick t w;
+               true)))
+      workers;
+    ignore
+      (Engine.every t.rc.Rc.engine ~period:check_period (fun () ->
+           check_mode t;
+           true))
+  end;
   Rc.start_watchdog t.rc ~bound:watchdog (fun ~bound -> watchdog_scan t ~bound);
   t
 
@@ -402,45 +632,18 @@ let attach_be_app t app ~chunk ~workers =
             ev.Allocator.app_name
       | Allocator.Granted | Allocator.Reclaimed | Allocator.Yielded -> ())
     ~set_allowance:(set_be_allowance t);
-  Array.iter (fun w -> try_next t w) t.workers
+  Array.iter (fun w -> reschedule t w ~prev:None) t.workers
 
 let allocator t = t.rc.Rc.allocator
 
-let pump t =
-  let made_progress = ref true in
-  while !made_progress do
-    made_progress := false;
-    if queue_length t > 0 then
-      match
-        Array.to_list t.workers
-        |> List.find_opt (fun w ->
-               w.ex.Rc.current = None && (not w.reserved)
-               && not (Rc.unit_capped t.rc w.ex))
-      with
-      | Some w ->
-          try_next t w;
-          made_progress := true
-      | None -> ()
-  done;
-  (* No free worker: under immediate reclaim, kick BE work off a core. *)
-  if queue_length t > 0 && t.immediate then begin
-    let want = queue_length t in
-    let reclaimed = ref 0 in
-    Array.iter
-      (fun w -> if !reclaimed < want && preempt_be_worker t w then incr reclaimed)
-      t.workers
-  end
-
-(* ---- deadlines ----------------------------------------------------------- *)
-
-let kill t ?on_drop task = Rc.kill t.rc ?on_drop task
+(* ---- submission, deadlines, wakeups -------------------------------------- *)
 
 let submit t app ?(service = 0) ?(record = true) ?deadline ?on_drop ~name body =
   let task = Rc.admit t.rc app ~name ~arrival:(now t) ~service ~record body in
   t.rc.Rc.policy.task_init task;
   t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core ~reason:Sched_ops.Enq_new
     task;
-  pump t;
+  poke t;
   (match deadline with
   | Some d ->
       Rc.arm_deadline t.rc ?on_drop task ~deadline:d
@@ -451,8 +654,11 @@ let submit t app ?(service = 0) ?(record = true) ?deadline ?on_drop ~name body =
 let wakeup t (task : Task.t) =
   Rc.awaken t.rc task ~place:(fun task ->
       ignore (t.rc.Rc.policy.task_wakeup ~waker_cpu:t.dispatcher_core task);
-      pump t)
+      poke t)
 
+let mode t = t.mode
+let mode_switches t = t.mode_switches
+let timer_ticks t = t.ticks
 let preemptions t = t.rc.Rc.preempts
 let dispatches t = t.dispatches
 let be_preemptions t = t.rc.Rc.be_preempts
@@ -462,33 +668,50 @@ let rescue_detection t = t.rc.Rc.rescue_detect
 let deadline_drops t = t.rc.Rc.deadline_drops
 let set_trace t trace = t.rc.Rc.trace <- Some trace
 let queue_depth_series t = t.rc.Rc.queue_depth
-let worker_busy_ns t = Rc.total_busy_ns t.rc
 
 (* Pull-based registration: every closure reads existing state at snapshot
-   time, so attaching a registry cannot perturb the simulation. *)
+   time, so attaching a registry cannot perturb the simulation.  The mode
+   switch renames the family to [skyloft_hybrid_*] and adds its own. *)
 let register_metrics t ?(labels = []) reg =
   let rc = t.rc in
-  let c name help read = Registry.counter reg ~help ~labels name read in
-  c "skyloft_central_dispatches_total" "Tasks assigned to workers" (fun () ->
-      t.dispatches);
-  c "skyloft_central_preemptions_total" "Quantum preemptions sent" (fun () ->
-      rc.Rc.preempts);
-  c "skyloft_central_be_preemptions_total" "Best-effort workers preempted"
-    (fun () -> rc.Rc.be_preempts);
-  c "skyloft_central_watchdog_rescues_total" "Stuck workers rescued" (fun () ->
-      rc.Rc.rescues);
-  c "skyloft_central_failovers_total" "Dispatcher failovers" (fun () ->
-      t.failovers);
-  c "skyloft_central_deadline_drops_total" "Tasks killed at their deadline"
-    (fun () -> rc.Rc.deadline_drops);
-  Registry.gauge reg ~labels "skyloft_central_be_allowance"
+  let hybrid = t.tick_period > 0 in
+  let name s = (if hybrid then "skyloft_hybrid_" else "skyloft_central_") ^ s in
+  let c s help read = Registry.counter reg ~help ~labels (name s) read in
+  let switch_only f = if hybrid then f () in
+  c "dispatches_total"
+    (if hybrid then "Central-mode dispatcher assignments"
+     else "Tasks assigned to workers")
+    (fun () -> t.dispatches);
+  switch_only (fun () ->
+      c "mode_switches_total" "Dispatch-mode transitions" (fun () ->
+          t.mode_switches));
+  c "preemptions_total"
+    (if hybrid then "LC preemptions (both mechanisms)"
+     else "Quantum preemptions sent")
+    (fun () -> rc.Rc.preempts);
+  c "be_preemptions_total" "Best-effort workers preempted" (fun () ->
+      rc.Rc.be_preempts);
+  switch_only (fun () ->
+      c "timer_ticks_total" "Percore-mode timer interrupts handled" (fun () ->
+          t.ticks));
+  c "watchdog_rescues_total" "Stuck workers rescued" (fun () -> rc.Rc.rescues);
+  c "failovers_total" "Dispatcher failovers" (fun () -> t.failovers);
+  c "deadline_drops_total" "Tasks killed at their deadline" (fun () ->
+      rc.Rc.deadline_drops);
+  switch_only (fun () ->
+      Registry.gauge reg ~labels (name "mode")
+        ~help:"Current dispatch mode (0 = central, 1 = percore)" (fun () ->
+          match t.mode with Central -> 0.0 | Percore -> 1.0));
+  Registry.gauge reg ~labels (name "be_allowance")
     ~help:"Workers the best-effort application may occupy" (fun () ->
       float_of_int rc.Rc.be_allowance);
-  Registry.gauge reg ~labels "skyloft_central_queue_length"
-    ~help:"LC tasks waiting at the dispatcher" (fun () ->
-      float_of_int (queue_length t));
-  Registry.histogram reg ~labels "skyloft_central_rescue_detection_ns"
+  Registry.gauge reg ~labels (name "queue_length")
+    ~help:
+      (if hybrid then "LC tasks waiting in the shared queue"
+       else "LC tasks waiting at the dispatcher")
+    (fun () -> float_of_int (queue_length t));
+  Registry.histogram reg ~labels (name "rescue_detection_ns")
     ~help:"Watchdog detection latency past the bound" rc.Rc.rescue_detect;
-  Registry.series reg ~labels "skyloft_central_queue_depth"
+  Registry.series reg ~labels (name "queue_depth")
     ~help:"LC policy queue length" rc.Rc.queue_depth;
   Rc.register_app_metrics rc ~labels reg

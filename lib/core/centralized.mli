@@ -19,7 +19,12 @@ module Kmod = Skyloft_kernel.Kmod
     interrupts.  A best-effort (BE) application can be co-scheduled:
     workers fall back to BE work when the LC queue is empty, and BE cores
     are reclaimed when congestion is detected (Shenango's core-allocation
-    policy, §5.2 "Multiple workloads"). *)
+    policy, §5.2 "Multiple workloads").
+
+    The hybrid runtime is this runtime with its mode switch on
+    ([?percore_hz] at {!create}): past a queue-depth threshold the
+    dispatcher hands the workers to per-core preemption timers (the
+    Figure 2a mechanism) and takes them back once the queue drains. *)
 
 (** Cost vector of the preemption/dispatch mechanism. *)
 type mechanism = {
@@ -42,6 +47,10 @@ val ghost_mechanism : mechanism
     thread switches — the §5.2 explanation of its lower throughput and
     higher low-load tail latency. *)
 
+(** Who schedules the workers: the serial dispatcher, or per-core timers
+    with workers picking from the shared queue themselves. *)
+type mode = Central | Percore
+
 type t
 
 val create :
@@ -54,6 +63,7 @@ val create :
   ?alloc:Skyloft_alloc.Allocator.config ->
   ?immediate:bool ->
   ?watchdog:Time.t ->
+  ?percore_hz:int ->
   Sched_ops.ctor ->
   t
 (** [quantum <= 0] disables quantum preemption (run-to-completion).
@@ -71,7 +81,18 @@ val create :
     a full bound past its expected preemption point, meaning the
     preemption user IPI was lost ({!watchdog_rescues},
     {!rescue_detection}).  Cores inside a {!Kmod.steal_core} outage are
-    exempt until hand-back. *)
+    exempt until hand-back.  Under the mode switch a run may also last
+    one percore tick period before it counts as stuck.
+
+    [percore_hz] turns the mode switch on (the hybrid runtime): every
+    worker gets a delegated timer at that rate, and a monitor samples the
+    LC queue every 25 µs.  It switches to [Percore] when the depth exceeds
+    twice the worker count and back to [Central] at half the worker count
+    or below; the gap is the hysteresis band.  In [Percore] mode idle
+    workers pick from the shared queue themselves and the ticks enforce
+    the quantum.  Every transition is a [Mode_switch] trace instant.
+    Without it no tick or monitor timer exists and the mode stays
+    [Central].  Raises [Invalid_argument] if [percore_hz <= 0]. *)
 
 val create_app : t -> name:string -> App.t
 
@@ -95,44 +116,42 @@ val submit :
   name:string ->
   Coro.t ->
   Task.t
-(** Enqueue a latency-critical request; the dispatcher assigns it to a
-    worker (preempting BE work if needed).
+(** Enqueue a latency-critical request; in [Central] mode the dispatcher
+    assigns it to a worker (preempting BE work if needed), in [Percore]
+    mode an idle worker picks it up directly.
 
     [deadline] arms a kill timer [deadline] ns from now: a request that
-    has not exited by then is forcibly terminated ({!kill}), counted as a
-    deadline drop in the app's summary, and [on_drop] is called — every
-    submission is accounted for exactly once. *)
-
-val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
-(** Forcibly terminate a task wherever it is: running (preempted off its
-    worker and discarded), runnable (flagged; discarded at the next
-    dequeue), or blocked (never woken).  A no-op on exited or
-    already-killed tasks.  Counted in {!deadline_drops} and the app
-    summary's drop count. *)
+    has not exited by then is forcibly terminated wherever it is (running,
+    queued, in flight to a worker, or blocked), counted as a deadline drop
+    in the app's summary, and [on_drop] is called — every submission is
+    accounted for exactly once. *)
 
 val wakeup : t -> Task.t -> unit
-val now : t -> Time.t
-val quantum : t -> Time.t
 val preemptions : t -> int
 val dispatches : t -> int
+(** Tasks the dispatcher put on a worker ([Central] mode). *)
+
 val queue_length : t -> int
 (** Tasks currently waiting in the LC runqueue (excludes running). *)
 
-val worker_busy_ns : t -> int
-(** Total busy time across workers (all applications). *)
-
 val be_preemptions : t -> int
+
+val mode : t -> mode
+val mode_switches : t -> int
+(** Mode transitions performed by the monitor (0 without the switch). *)
+
+val timer_ticks : t -> int
+(** [Percore]-mode timer interrupts handled (0 without the switch). *)
 
 val set_core_allowance : t -> int -> unit
 (** How many workers this runtime may occupy at all: a machine-level core
     broker's grant.  Allowed workers are the creation-order prefix.
-    Shrinking preempts the newly capped workers over the usual IPI
-    send/deliver path (an assignment already in flight still runs its
-    segment — enforcement at the next scheduling point, like a quantum);
-    growing redrives dispatch.  Default [max_int] disables the gate. *)
-
-val core_allowance : t -> int
-(** The broker's current grant ([max_int] when unbrokered). *)
+    Shrinking preempts the newly capped workers, in [Central] mode over
+    the usual IPI send/deliver path (an assignment already in flight still
+    runs its segment — enforcement at the next scheduling point, like a
+    quantum), in [Percore] mode synchronously; growing redrives dispatch
+    or kicks the workers handed back.  Default [max_int] disables the
+    gate. *)
 
 val congestion : t -> Skyloft_alloc.Allocator.raw
 (** The whole-runtime congestion sample a machine-level broker reads. *)
@@ -162,10 +181,11 @@ val queue_depth_series : t -> Skyloft_stats.Timeseries.t
     the Perfetto counter-track export in [lib/obs]. *)
 
 (** [register_metrics t reg] registers this runtime's counters, gauges, and
-    queue-depth series (under [skyloft_central_*]) plus every application's
-    task counters, response-time histogram, and latency attribution (under
-    [skyloft_app_*], labelled with the app name).  Call after the
-    applications have been created.  Registration is pull-based and never
-    perturbs the simulation. *)
+    queue-depth series (under [skyloft_central_*]; under the mode switch,
+    [skyloft_hybrid_*] plus the current mode and the transition and tick
+    counts) plus every application's task counters, response-time
+    histogram, and latency attribution (under [skyloft_app_*], labelled
+    with the app name).  Call after the applications have been created.
+    Registration is pull-based and never perturbs the simulation. *)
 val register_metrics :
   t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit

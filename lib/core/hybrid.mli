@@ -1,123 +1,50 @@
-module Time = Skyloft_sim.Time
-module Coro = Skyloft_sim.Coro
-module Machine = Skyloft_hw.Machine
-module Kmod = Skyloft_kernel.Kmod
+(** The hybrid runtime under its old module name: {!Centralized} with the
+    mode switch on.
 
-(** A hybrid Skyloft runtime: centralized dispatch under low load, per-CPU
-    timer-driven scheduling past a load threshold.
+    Only the host-cost benchmark ([perfbench/rt.ml]) calls it.  That
+    benchmark is frozen so its numbers stay comparable across versions,
+    so this shim keeps exactly the names it uses.  Everything else builds
+    the hybrid with [Centralized.create ~percore_hz] or through the
+    runtime handle ([Runtime.Hybrid]). *)
 
-    The paper's two runtime shapes trade off against each other: the
-    centralized dispatcher (Figure 2b) gives the best low-load tail latency
-    (one global queue, no work stealing) but its serial dispatcher is a
-    scalability ceiling, while per-CPU timer scheduling (Figure 2a) scales
-    but pays queue-imbalance tail at low load.  This runtime switches
-    between the two *mechanisms* over one shared {!Runtime_core} substrate:
-    a monitor samples the LC queue depth and, with hysteresis, hands the
-    cores from the serial dispatcher to per-core preemption timers and
-    back.  Every mode transition is a [Mode_switch] trace instant.
-
-    The point of this module is architectural as much as experimental: it
-    is written only against the [Runtime_core.dispatch] substrate — the
-    same lifecycle, accounting, BE-occupancy, deadline, allocator and
-    metrics code the two parent runtimes instantiate — which is the
-    evidence that the substrate is a real seam and not a refactoring
-    artifact. *)
-
-type mode = Central | Percore
-
-type t
+type t = Centralized.t
 
 val create :
-  Machine.t ->
-  Kmod.t ->
+  Skyloft_hw.Machine.t ->
+  Skyloft_kernel.Kmod.t ->
   dispatcher_core:int ->
   worker_cores:int list ->
-  quantum:Time.t ->
+  quantum:Skyloft_sim.Time.t ->
   ?timer_hz:int ->
-  ?hi_depth:int ->
-  ?lo_depth:int ->
-  ?check_period:Time.t ->
   ?alloc:Skyloft_alloc.Allocator.config ->
-  ?watchdog:Time.t ->
+  ?watchdog:Skyloft_sim.Time.t ->
   Sched_ops.ctor ->
   t
-(** In [Central] mode the [dispatcher_core] is the serial resource of the
-    centralized runtime (assignment + quantum preemption via user IPIs);
-    in [Percore] mode workers self-schedule from the shared queue and
-    per-core timers at [timer_hz] (default 100 kHz) drive preemption.  The
-    monitor samples the LC queue every [check_period] (default 25 µs) and
-    switches to [Percore] when the depth exceeds [hi_depth] (default twice
-    the worker count), back to [Central] when it falls to [lo_depth]
-    (default half the worker count) or below — the gap is the hysteresis
-    band.  [quantum <= 0] disables quantum preemption in [Central] mode.
-
-    [alloc] and [watchdog] behave as in {!Centralized.create}: the core
-    allocator started by {!attach_be_app}, and the recovery watchdog
-    (dispatcher failover + stuck-worker rescue). *)
+(** [Centralized.create ~percore_hz:timer_hz] (default 100 kHz). *)
 
 val create_app : t -> name:string -> App.t
-
-val attach_be_app : t -> App.t -> chunk:Time.t -> workers:int -> unit
-(** As {!Centralized.attach_be_app}: seed the BE application's endless
-    chunked batch workers and start the core allocator. *)
-
-val allocator : t -> Skyloft_alloc.Allocator.t option
 
 val submit :
   t ->
   App.t ->
-  ?service:Time.t ->
+  ?service:Skyloft_sim.Time.t ->
   ?record:bool ->
-  ?deadline:Time.t ->
+  ?deadline:Skyloft_sim.Time.t ->
   ?on_drop:(Task.t -> unit) ->
   name:string ->
-  Coro.t ->
+  Skyloft_sim.Coro.t ->
   Task.t
-(** Enqueue a latency-critical request into the shared queue; the current
-    mode decides whether the dispatcher assigns it or an idle worker picks
-    it up directly.  [deadline] arms a kill timer as in
-    {!Centralized.submit}. *)
 
-val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
-val wakeup : t -> Task.t -> unit
-val now : t -> Time.t
-
-val mode : t -> mode
-val mode_switches : t -> int
-(** Mode transitions performed by the monitor so far. *)
-
-val dispatches : t -> int
-(** Central-mode dispatcher assignments (zero while in [Percore]). *)
-
-val preemptions : t -> int
-val be_preemptions : t -> int
-val timer_ticks : t -> int
-(** Percore-mode timer interrupts handled. *)
-
+val attach_be_app : t -> App.t -> chunk:Skyloft_sim.Time.t -> workers:int -> unit
 val set_core_allowance : t -> int -> unit
-(** How many workers this runtime may occupy at all: a machine-level core
-    broker's grant.  Allowed units are the creation-order prefix.
-    Shrinking preempts the newly capped units by whichever mechanism the
-    current mode provides (dispatcher IPI or synchronous local
-    preemption); growing redrives dispatch (central) or kicks the units
-    handed back (percore).  Default [max_int] disables the gate. *)
-
-val core_allowance : t -> int
-(** The broker's current grant ([max_int] when unbrokered). *)
-
 val congestion : t -> Skyloft_alloc.Allocator.raw
-(** The whole-runtime congestion sample a machine-level broker reads. *)
-
 val queue_length : t -> int
-val worker_busy_ns : t -> int
+val allocator : t -> Skyloft_alloc.Allocator.t option
+val rescue_detection : t -> Skyloft_stats.Histogram.t
+val dispatches : t -> int
+val preemptions : t -> int
+val timer_ticks : t -> int
+val be_preemptions : t -> int
+val deadline_drops : t -> int
 val watchdog_rescues : t -> int
 val failovers : t -> int
-val rescue_detection : t -> Skyloft_stats.Histogram.t
-val deadline_drops : t -> int
-val set_trace : t -> Skyloft_stats.Trace.t -> unit
-val queue_depth_series : t -> Skyloft_stats.Timeseries.t
-
-val register_metrics :
-  t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit
-(** [skyloft_hybrid_*] counters (including the current mode as a gauge and
-    the transition count) plus the shared per-application family. *)

@@ -387,8 +387,7 @@ let make ~name machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog ctor =
   Array.iter (fun cpu -> Hashtbl.replace t.by_core cpu.ex.Rc.exec_core cpu) cpus;
   Rc.install_dispatch t.rc
     {
-      Rc.d_name = String.lowercase_ascii name;
-      d_units = Array.map (fun cpu -> cpu.ex) cpus;
+      Rc.d_units = Array.map (fun cpu -> cpu.ex) cpus;
       d_enqueue_cpu = (fun ex -> ex.Rc.exec_core);
       d_incoming_app = (fun _ -> -1);
       d_released = (fun _ -> ());
@@ -472,7 +471,6 @@ let set_core_allowance t n =
           kick t cpu)
       t.cpus
 
-let core_allowance t = t.rc.Rc.core_allowance
 let congestion t = Rc.congestion t.rc
 
 let attach_be_app t ?alloc app ~chunk ~workers =
@@ -505,9 +503,7 @@ let pick_spawn_cpu t =
       t.rr_spawn <- t.rr_spawn + 1;
       core
 
-(* ---- deadlines ----------------------------------------------------------- *)
-
-let kill t ?on_drop task = Rc.kill t.rc ?on_drop task
+(* ---- spawning, deadlines ------------------------------------------------- *)
 
 let spawn t app ~name ?cpu ?arrival ?service ?(record = true) ?deadline ?on_drop
     body =
@@ -616,8 +612,6 @@ let unparks t = t.unparks
 let watchdog_rescues t = t.rc.Rc.rescues
 let rescue_detection t = t.rc.Rc.rescue_detect
 let deadline_drops t = t.rc.Rc.deadline_drops
-let total_busy_ns t = Rc.total_busy_ns t.rc
-let apps t = t.rc.Rc.apps
 let set_trace t trace = t.rc.Rc.trace <- Some trace
 
 (* Pull-based registration: every closure reads existing state at snapshot

@@ -96,9 +96,6 @@ val set_core_allowance : t -> int -> unit
     on an allowed core); growing kicks the cores handed back.  The
     default, [max_int], disables the gate entirely. *)
 
-val core_allowance : t -> int
-(** The broker's current grant ([max_int] when unbrokered). *)
-
 val congestion : t -> Skyloft_alloc.Allocator.raw
 (** The whole-runtime congestion sample a machine-level broker reads:
     LC probe backlog + BE queue length, oldest LC wait, total busy ns. *)
@@ -112,17 +109,10 @@ val spawn :
     is recorded into the application's {!App.t.summary}.
 
     [deadline] arms a kill timer [deadline] ns from now: if the task has
-    not exited by then it is forcibly terminated ({!kill}), counted as a
+    not exited by then it is forcibly terminated wherever it is, counted as a
     deadline drop in the app's summary, and [on_drop] is called — the
     task neither completes nor lingers, so every spawn is accounted for
     exactly once. *)
-
-val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
-(** Forcibly terminate a task wherever it is: running (preempted off its
-    core and discarded), runnable (flagged; discarded at the next
-    dequeue), or blocked (never woken).  A no-op on exited or
-    already-killed tasks.  Counted in {!deadline_drops} and the app
-    summary's drop count. *)
 
 val wakeup : t -> ?waker_cpu:int -> Task.t -> unit
 (** [task_wakeup]: make a blocked task runnable again (placement is the
@@ -155,7 +145,6 @@ val preempt_core : t -> src_core:int -> dst_core:int -> unit
     style, Figure 2b).  The receiving core's handler re-enqueues its
     current task and reschedules. *)
 
-val now : t -> Time.t
 val current : t -> core:int -> Task.t option
 val is_idle : t -> core:int -> bool
 val wakeup_hist : t -> Histogram.t
@@ -192,18 +181,10 @@ val rescue_detection : t -> Histogram.t
 val deadline_drops : t -> int
 (** Tasks killed by their spawn deadline (see {!spawn}). *)
 
-val total_busy_ns : t -> int
-(** Sum of per-application busy time. *)
-
-val apps : t -> App.t list
-(** Applications created on this runtime (excluding the daemon). *)
-
 val set_trace : t -> Trace.t -> unit
 (** Record scheduling activity (run spans, preemptions, wakeups,
     application switches, faults) into [trace]; export with
     {!Skyloft_stats.Trace.to_chrome_json}. *)
-
-val view : t -> Sched_ops.view
 
 (**/**)
 

@@ -41,7 +41,6 @@ type exec = {
 (* The DISPATCH substrate signature, as a record of closures (installed
    after construction, like the policy, to break the knot). *)
 type dispatch = {
-  d_name : string;
   d_units : exec array;  (* every execution unit, in core order *)
   d_enqueue_cpu : exec -> int;
       (* queue a yielded task is re-enqueued on: the unit's own core
@@ -59,7 +58,6 @@ type dispatch = {
 
 let null_dispatch =
   {
-    d_name = "null";
     d_units = [||];
     d_enqueue_cpu = (fun ex -> ex.exec_core);
     d_incoming_app = (fun _ -> -1);

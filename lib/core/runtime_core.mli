@@ -45,7 +45,6 @@ type exec = {
 (** The DISPATCH substrate: a record of closures (the {!Sched_ops} idiom),
     installed after construction via {!install_dispatch}. *)
 type dispatch = {
-  d_name : string;
   d_units : exec array;  (** every execution unit, in core order *)
   d_enqueue_cpu : exec -> int;
       (** which queue a yielded task re-enters: the unit's own core

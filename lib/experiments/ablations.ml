@@ -7,7 +7,6 @@ module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
 module Centralized = Skyloft.Centralized
-module Hybrid = Skyloft.Hybrid
 module Worksteal = Skyloft.Worksteal
 module Coro = Skyloft_sim.Coro
 module Dist = Skyloft_sim.Dist
@@ -27,9 +26,10 @@ module Histogram = Skyloft_stats.Histogram
       to Shinjuku-style designs (§3.2).
     - A4 NIC reception modes: spin-polling vs periodic polling vs §6
       user-interrupt (MSI) delivery.
-    - A5 the hybrid runtime vs both parents: the mode-switching runtime
-      built on the shared Runtime_core substrate, at low and high load
-      against pure per-CPU and pure centralized dispatch.
+    - A5 the hybrid runtime vs both parents: the centralized runtime with
+      its mode switch on, at low and high load against pure per-CPU and
+      pure centralized dispatch (the switch's behaviour asserted
+      in-sweep).
     - A6 the work-stealing deque runtime against the other three across
       arrival regimes — where steal-half decentralization beats the
       hybrid's dispatcher and where it loses (both asserted in-sweep). *)
@@ -263,11 +263,12 @@ let a4_nic_modes (config : Config.t) =
    and hybrid surrender one to the dispatcher.  The load axis is where the
    trade-off lives — the dispatcher's single queue wins the low-load tail,
    per-core timers win throughput once the queue deepens — and the hybrid
-   is supposed to track whichever parent is ahead, switching modes as the
-   queue depth crosses its hysteresis band. *)
+   switches modes as the queue depth crosses its hysteresis band.  The run
+   fails unless the hybrid stays central at 20% load and switches at least
+   once at 80%. *)
 let a5_hybrid_vs_parents (config : Config.t) =
   Report.section
-    "Ablation A5: hybrid runtime (shared Runtime_core substrate) vs both parents";
+    "Ablation A5: hybrid runtime (centralized + mode switch) vs both parents";
   let n_cores = 8 in
   let quantum = Time.us 30 in
   let cap = float_of_int n_cores *. 1e9 /. Dist.mean Dist.dispersive in
@@ -299,17 +300,18 @@ let a5_hybrid_vs_parents (config : Config.t) =
              ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
-    measure "per-CPU (2a)" app.App.summary "-"
+    (measure "per-CPU (2a)" app.App.summary "-", 0)
   in
-  let run_centralized rate =
+  (* Centralized, or the hybrid when [percore_hz] turns the mode switch
+     on; the second result is the mode switches made. *)
+  let run_dispatcher ?percore_hz design ctor rate =
     let engine = Engine.create ~seed:config.seed () in
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
       Centralized.create machine kmod ~dispatcher_core:0
         ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
-        (Skyloft_policies.Shinjuku.create ())
+        ~quantum ?percore_hz (ctor ())
     in
     let app = Centralized.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
@@ -320,51 +322,64 @@ let a5_hybrid_vs_parents (config : Config.t) =
              ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
-    measure "centralized (2b)" app.App.summary "-"
+    let switches = Centralized.mode_switches rt in
+    ( measure design app.App.summary
+        (match percore_hz with
+        | None -> "-"
+        | Some _ ->
+            Printf.sprintf "%d switches, end %s" switches
+              (match Centralized.mode rt with
+              | Centralized.Central -> "central"
+              | Centralized.Percore -> "percore")),
+      switches )
   in
-  let run_hybrid rate =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
-        (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-    in
-    let app = Hybrid.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
-      ~duration:config.duration (fun pkt ->
-        ignore
-          (Hybrid.submit rt app ~name:"req"
-             ~service:pkt.Skyloft_net.Packet.service
-             (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
-    Engine.run ~until:(config.duration + Time.ms 60) engine;
-    measure "hybrid" app.App.summary
-      (Printf.sprintf "%d switches, end %s"
-         (Hybrid.mode_switches rt)
-         (match Hybrid.mode rt with
-         | Hybrid.Central -> "central"
-         | Hybrid.Percore -> "percore"))
+  let run_centralized =
+    run_dispatcher "centralized (2b)" Skyloft_policies.Shinjuku.create
   in
-  let cells =
-    List.concat_map
-      (fun load -> List.map (fun r -> (load, r)) [ run_percpu; run_centralized; run_hybrid ])
-      [ 0.2; 0.8 ]
+  let run_hybrid =
+    run_dispatcher ~percore_hz:100_000 "hybrid" (fun () ->
+        fst (Skyloft_policies.Shinjuku_shenango.create ()))
+  in
+  let results =
+    Parallel.map ~jobs:config.jobs
+      (fun (load, r) -> (load, r (load *. cap)))
+      (List.concat_map
+         (fun load ->
+           List.map (fun r -> (load, r)) [ run_percpu; run_centralized; run_hybrid ])
+         [ 0.2; 0.8 ])
   in
   let rows =
-    Parallel.map ~jobs:config.jobs
-      (fun (load, r) ->
-        Printf.sprintf "%.0f%%" (load *. 100.) :: r (load *. cap))
-      cells
+    List.map
+      (fun (load, (row, _)) -> Printf.sprintf "%.0f%%" (load *. 100.) :: row)
+      results
   in
   Report.table
     ~header:[ "load"; "design"; "served"; "p50 (us)"; "p99 (us)"; "mode" ]
     rows;
-  Report.note "low load: the hybrid stays central (single queue, no stealing tail);";
-  Report.note "high load: it hands the cores to per-core timers and scales past";
-  Report.note "the dispatcher — one Runtime_core substrate under all three";
+  (* The asserted claim: the monitor leaves a shallow queue to the
+     dispatcher and hands a deep one to the per-core timers. *)
+  let hybrid_switches load =
+    match
+      List.find_map
+        (fun (l, (row, switches)) ->
+          if l = load && List.hd row = "hybrid" then Some switches else None)
+        results
+    with
+    | Some switches -> switches
+    | None -> failwith "ablation A5: missing cell"
+  in
+  if hybrid_switches 0.2 <> 0 then
+    failwith
+      "ablation A5: the hybrid switched modes at 20% load — a shallow queue \
+       should stay with the dispatcher";
+  if hybrid_switches 0.8 < 1 then
+    failwith
+      "ablation A5: the hybrid never switched modes at 80% load — a deep \
+       queue should reach the per-core timers";
+  Report.note "20%% load: the hybrid never leaves central mode and matches the";
+  Report.note "centralized row; 80%%: the deep queue hands the workers to per-core";
+  Report.note "timers, and the hybrid's p99 ends above the centralized row's (the";
+  Report.note "dispatcher rows differ in policy too: Shinjuku vs Shinjuku_shenango)";
   rows
 
 (* ---- A6: the work-stealing runtime across arrival regimes ---------------- *)
@@ -445,15 +460,16 @@ let a6_worksteal_regimes (config : Config.t) =
     Engine.run ~until:horizon engine;
     ("percpu", app.App.summary, "-")
   in
-  let run_centralized drive =
+  (* Centralized, or the hybrid when [percore_hz] turns the mode switch
+     on. *)
+  let run_dispatcher ?percore_hz design ctor drive =
     let engine = Engine.create ~seed:config.seed () in
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
       Centralized.create machine kmod ~dispatcher_core:0
         ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
-        (Skyloft_policies.Shinjuku.create ())
+        ~quantum ?percore_hz (ctor ())
     in
     let app = Centralized.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
@@ -462,28 +478,19 @@ let a6_worksteal_regimes (config : Config.t) =
           (Centralized.submit rt app ~name:"req" ~service
              (Coro.compute_then_exit service)));
     Engine.run ~until:horizon engine;
-    ("centralized", app.App.summary, "-")
-  in
-  let run_hybrid drive =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
-        (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-    in
-    let app = Hybrid.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    drive engine rng (fun ~cpu:_ ~service ->
-        ignore
-          (Hybrid.submit rt app ~name:"req" ~service
-             (Coro.compute_then_exit service)));
-    Engine.run ~until:horizon engine;
-    ( "hybrid",
+    ( design,
       app.App.summary,
-      Printf.sprintf "%d mode switches" (Hybrid.mode_switches rt) )
+      match percore_hz with
+      | None -> "-"
+      | Some _ ->
+          Printf.sprintf "%d mode switches" (Centralized.mode_switches rt) )
+  in
+  let run_centralized =
+    run_dispatcher "centralized" Skyloft_policies.Shinjuku.create
+  in
+  let run_hybrid =
+    run_dispatcher ~percore_hz:100_000 "hybrid" (fun () ->
+        fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
   let run_worksteal drive =
     let engine = Engine.create ~seed:config.seed () in

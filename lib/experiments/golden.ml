@@ -7,7 +7,6 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
 module Centralized = Skyloft.Centralized
-module Hybrid = Skyloft.Hybrid
 module Worksteal = Skyloft.Worksteal
 module Trace = Skyloft_stats.Trace
 module Plan = Skyloft_fault.Plan
@@ -145,12 +144,13 @@ let traced_hybrid ~seed =
   in
   let kmod = Kmod.create machine in
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
-      ~quantum:(Time.us 30) ~watchdog:(Time.us 200)
+    Centralized.create machine kmod ~dispatcher_core:0
+      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time.us 30)
+      ~watchdog:(Time.us 200) ~percore_hz:100_000
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
   let trace = Trace.create () in
-  Hybrid.set_trace rt trace;
+  Centralized.set_trace rt trace;
   let rng = Rng.create ~seed in
   let inj = Injector.create ~engine ~rng ~trace () in
   Injector.arm inj
@@ -160,10 +160,10 @@ let traced_hybrid ~seed =
       Plan.ipi_loss ~p_drop:0.3 ~p_delay:0.3 ~delay:(Time.us 20) ();
       Plan.core_steal ~period:(Time.us 200) ~duration:(Time.us 50) ();
     ];
-  let app = Hybrid.create_app rt ~name:"a" in
+  let app = Centralized.create_app rt ~name:"a" in
   let submit i =
     ignore
-      (Hybrid.submit rt app
+      (Centralized.submit rt app
          ~name:(Printf.sprintf "t%d" i)
          (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))
   in
@@ -178,7 +178,7 @@ let traced_hybrid ~seed =
            submit i
          done));
   Engine.run ~until:(Time.ms 3) engine;
-  (Trace.to_chrome_json trace, Injector.injected inj, Hybrid.mode_switches rt)
+  (Trace.to_chrome_json trace, Injector.injected inj, Centralized.mode_switches rt)
 
 (* Every field of the point, pinned down to the last counter. *)
 let fault_point_string (p : Fault_sweep.point) =

@@ -114,47 +114,15 @@ let create kind machine kmod ~cores ~quantum ?timer_hz ?watchdog ?alloc () =
         ~steals:(fun () -> Skyloft.Worksteal.steals ws)
         ~register_metrics:(fun ?labels reg ->
           Skyloft.Worksteal.register_metrics ws ?labels reg)
-  | Centralized ->
+  | Centralized | Hybrid ->
       let module R = Skyloft.Centralized in
+      let percore_hz =
+        if kind = Hybrid then Some (Option.value timer_hz ~default:100_000)
+        else None
+      in
       let rt =
         R.create machine kmod ~dispatcher_core ~worker_cores ~quantum ?alloc
-          ?watchdog
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      {
-        create_app = (fun ~name -> R.create_app rt ~name);
-        submit =
-          (fun app ~name ?cpu:_ ?service ?record ?deadline ?on_drop body ->
-            R.submit rt app ?service ?record ?deadline ?on_drop ~name body);
-        wakeup = R.wakeup rt;
-        attach_be = R.attach_be_app rt;
-        set_core_allowance = R.set_core_allowance rt;
-        congestion = (fun () -> R.congestion rt);
-        allocator = (fun () -> R.allocator rt);
-        set_trace = R.set_trace rt;
-        register_metrics = (fun ?labels reg -> R.register_metrics rt ?labels reg);
-        queue_depth_series = R.queue_depth_series rt;
-        rescue_detection = R.rescue_detection rt;
-        counters =
-          (fun () ->
-            {
-              switches = R.dispatches rt;
-              preemptions = R.preemptions rt;
-              ticks = 0;
-              be_preemptions = R.be_preemptions rt;
-              deadline_drops = R.deadline_drops rt;
-              rescues = R.watchdog_rescues rt;
-              steals = 0;
-              failovers = R.failovers rt;
-              mode_switches = 0;
-            });
-        percpu = None;
-      }
-  | Hybrid ->
-      let module R = Skyloft.Hybrid in
-      let rt =
-        R.create machine kmod ~dispatcher_core ~worker_cores ~quantum ?timer_hz
-          ?alloc ?watchdog
+          ?watchdog ?percore_hz
           (fst (Skyloft_policies.Shinjuku_shenango.create ()))
       in
       {

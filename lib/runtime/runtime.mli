@@ -18,10 +18,9 @@ module Task = Skyloft.Task
     a runtime knob or a new kind touches this module, not each consumer.
 
     Calls that need a knob only one caller sets go to the runtime modules
-    directly: custom policies, [~preemption:false], [~park], hybrid
-    depths, utimers.  The per-CPU family's underlying {!Skyloft.Percpu.t}
-    is exposed ({!t.percpu}) for its per-core calls such as
-    [fault_current]. *)
+    directly: custom policies, [~preemption:false], [~park], utimers.
+    The per-CPU family's underlying {!Skyloft.Percpu.t} is exposed
+    ({!t.percpu}) for its per-core calls such as [fault_current]. *)
 
 type kind = Percpu | Centralized | Hybrid | Worksteal
 
@@ -91,7 +90,8 @@ val create :
     core as dispatcher and the rest as workers.  Each kind gets the policy
     it uses everywhere: [Work_stealing ~quantum] on percpu, the steal-half
     deques preempting at [quantum] on worksteal, and [Shinjuku_shenango]
-    with [quantum] on centralized and hybrid.  [timer_hz] (default
+    with [quantum] on centralized and hybrid, which are one runtime:
+    hybrid is centralized with its mode switch on.  [timer_hz] (default
     100,000) programs the per-CPU timers of every kind but centralized;
     [watchdog] arms the stuck-core watchdog.  [alloc] configures the core
     allocator the BE application gets: it goes to the constructor of the

@@ -17,6 +17,8 @@ module Sched_ops = Skyloft.Sched_ops
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
 module Centralized = Skyloft.Centralized
+module Trace = Skyloft_stats.Trace
+module Runtime = Skyloft_runtime.Runtime
 
 let check = Alcotest.check
 
@@ -596,7 +598,66 @@ let test_centralized_invalid_config () =
          (Centralized.create machine kmod ~dispatcher_core:1 ~worker_cores:[ 1; 2 ]
             ~quantum:0 fifo_ctor);
        false
+     with Invalid_argument _ -> true);
+  check Alcotest.bool "non-positive percore_hz rejected" true
+    (try
+       ignore
+         (Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
+            ~quantum:0 ~percore_hz:0 fifo_ctor);
+       false
      with Invalid_argument _ -> true)
+
+(* The same deep burst through both dispatcher kinds.  Four workers put
+   the switch threshold at depth 8; 24 requests at once exceed it.  The
+   hybrid hands the workers to per-core timers and takes them back once
+   the queue drains; plain centralized has no mode switch and no timers,
+   so it reports neither switches nor ticks. *)
+let test_dispatcher_mode_switch () =
+  let run kind =
+    let engine = Engine.create () in
+    let machine =
+      Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:5)
+    in
+    let kmod = Kmod.create machine in
+    let rt =
+      Runtime.create kind machine kmod ~cores:[ 0; 1; 2; 3; 4 ]
+        ~quantum:(Time.us 30) ()
+    in
+    let trace = Trace.create () in
+    rt.Runtime.set_trace trace;
+    let app = rt.Runtime.create_app ~name:"lc" in
+    ignore
+      (Engine.at engine (Time.us 10) (fun () ->
+           for i = 1 to 24 do
+             ignore
+               (rt.Runtime.submit app ~name:(Printf.sprintf "burst-%d" i)
+                  (Coro.compute_then_exit (Time.us 20)))
+           done));
+    Engine.run ~until:(Time.ms 1) engine;
+    let modes =
+      Trace.fold trace
+        (fun acc ev ->
+          match ev with
+          | Trace.Instant { kind = Trace.Mode_switch; name; _ } -> name :: acc
+          | _ -> acc)
+        []
+      |> List.rev
+    in
+    check Alcotest.int (Runtime.name kind ^ ": burst served") 24 app.App.completed;
+    (rt.Runtime.counters (), modes)
+  in
+  let c, modes = run Runtime.Hybrid in
+  check Alcotest.bool "hybrid: flips to percore first" true
+    (match modes with "percore" :: _ -> true | _ -> false);
+  check Alcotest.string "hybrid: back to central once drained" "central"
+    (List.nth modes (List.length modes - 1));
+  check Alcotest.int "hybrid: counter matches the trace instants"
+    (List.length modes) c.Runtime.mode_switches;
+  check Alcotest.bool "hybrid: percore ticks handled" true (c.Runtime.ticks > 0);
+  let c, modes = run Runtime.Centralized in
+  check Alcotest.int "centralized: no mode switches" 0 c.Runtime.mode_switches;
+  check Alcotest.int "centralized: no mode instants" 0 (List.length modes);
+  check Alcotest.int "centralized: no timer ticks" 0 c.Runtime.ticks
 
 let suite =
   [
@@ -636,6 +697,8 @@ let suite =
     Alcotest.test_case "centralized: dispatcher serializes" `Quick
       test_centralized_dispatcher_serializes;
     Alcotest.test_case "centralized: invalid config" `Quick test_centralized_invalid_config;
+    Alcotest.test_case "dispatcher kinds: mode switch on hybrid only" `Quick
+      test_dispatcher_mode_switch;
     Alcotest.test_case "percpu+worksteal: unmanaged core rejected" `Quick
       test_percpu_unmanaged_core;
   ]

@@ -65,8 +65,7 @@ let make ?(units = 1) () =
   let st = { rc; execs; incoming; engine } in
   Rc.install_dispatch rc
     {
-      Rc.d_name = "stub";
-      d_units = execs;
+      Rc.d_units = execs;
       d_enqueue_cpu = (fun _ -> 0);
       d_incoming_app = (fun ex -> incoming.(ex.Rc.exec_core));
       d_released = (fun _ -> ());
