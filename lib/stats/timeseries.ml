@@ -2,8 +2,8 @@ module Time = Skyloft_sim.Time
 
 type t = {
   capacity : int;
-  times : Time.t array;
-  values : int array;
+  mutable times : Time.t array;
+  mutable values : int array;
   mutable head : int;  (* next write position *)
   mutable count : int;
   mutable dropped : int;
@@ -16,18 +16,33 @@ type t = {
   mutable trunc_weighted : float;
 }
 
+(* The arrays start at [initial_slots] and double up to [capacity] as
+   samples arrive, so a short or unused series costs a few KB instead of
+   the full ring.  They reach [capacity] before the ring first wraps, so
+   the ring arithmetic only ever sees full arrays. *)
+let initial_slots = 1024
+
 let create ?(capacity = 65_536) () =
   if capacity <= 0 then invalid_arg "Timeseries.create: capacity must be positive";
+  let slots = min capacity initial_slots in
   {
     capacity;
-    times = Array.make capacity 0;
-    values = Array.make capacity 0;
+    times = Array.make slots 0;
+    values = Array.make slots 0;
     head = 0;
     count = 0;
     dropped = 0;
     trunc_span = 0;
     trunc_weighted = 0.0;
   }
+
+let grow t =
+  let slots = min t.capacity (2 * Array.length t.times) in
+  let times = Array.make slots 0 and values = Array.make slots 0 in
+  Array.blit t.times 0 times 0 t.count;
+  Array.blit t.values 0 values 0 t.count;
+  t.times <- times;
+  t.values <- values
 
 let nth t i =
   (* i-th retained sample, oldest first *)
@@ -59,7 +74,10 @@ let record t ~at v =
         end;
         t.dropped <- t.dropped + 1
       end
-      else t.count <- t.count + 1;
+      else begin
+        if t.count = Array.length t.times then grow t;
+        t.count <- t.count + 1
+      end;
       t.times.(t.head) <- at;
       t.values.(t.head) <- v;
       t.head <- (t.head + 1) mod t.capacity

@@ -182,23 +182,36 @@ let test_timeseries_truncation_exact () =
   let module Timeseries = Skyloft_stats.Timeseries in
   let small = Timeseries.create ~capacity:4 () in
   let big = Timeseries.create ~capacity:10_000 () in
+  (* [grown]'s storage starts below its capacity, grows to it, then wraps *)
+  let grown = Timeseries.create ~capacity:3_000 () in
   (* distinct values so collapsing never kicks in; irregular spacing *)
-  for i = 0 to 499 do
+  for i = 0 to 4_999 do
     let at = i * 7 and v = (i * 13 mod 97) + i in
     Timeseries.record small ~at v;
-    Timeseries.record big ~at v
+    Timeseries.record big ~at v;
+    Timeseries.record grown ~at v
   done;
-  let until = 500 * 7 in
+  let until = 5_000 * 7 in
   check Alcotest.int "reference dropped nothing" 0 (Timeseries.dropped big);
   check Alcotest.bool "wrapped series dropped samples" true
     (Timeseries.dropped small > 0);
   check Alcotest.int "window holds capacity samples" 4 (Timeseries.length small);
-  check (Alcotest.float 1e-6) "integral exact across eviction"
-    (Timeseries.integrate big ~until)
-    (Timeseries.integrate small ~until);
-  check (Alcotest.float 1e-9) "mean exact across eviction"
-    (Timeseries.mean big ~until)
-    (Timeseries.mean small ~until)
+  check Alcotest.int "grown series dropped the excess" 2_000
+    (Timeseries.dropped grown);
+  check
+    Alcotest.(list (pair int int))
+    "grown series keeps the newest window"
+    (List.filteri (fun i _ -> i >= 2_000) (Timeseries.to_list big))
+    (Timeseries.to_list grown);
+  List.iter
+    (fun s ->
+      check (Alcotest.float 1e-6) "integral exact across eviction"
+        (Timeseries.integrate big ~until)
+        (Timeseries.integrate s ~until);
+      check (Alcotest.float 1e-9) "mean exact across eviction"
+        (Timeseries.mean big ~until)
+        (Timeseries.mean s ~until))
+    [ small; grown ]
 
 let test_timeseries_truncated_span () =
   let module Timeseries = Skyloft_stats.Timeseries in
@@ -241,6 +254,10 @@ let suite =
   [
     Alcotest.test_case "timeseries: empty mean" `Quick test_timeseries_empty_mean;
     Alcotest.test_case "timeseries: integrate" `Quick test_timeseries_integrate;
+    Alcotest.test_case "timeseries: truncation exact" `Quick
+      test_timeseries_truncation_exact;
+    Alcotest.test_case "timeseries: truncated span" `Quick
+      test_timeseries_truncated_span;
     Alcotest.test_case "hist: empty" `Quick test_hist_empty;
     Alcotest.test_case "hist: exact small" `Quick test_hist_exact_small_values;
     Alcotest.test_case "hist: min/max exact" `Quick test_hist_minmax_exact;
