@@ -124,6 +124,14 @@ let steal_time t w cost =
       Rc.arm_completion t.rc w.ex task
   | _ -> ()
 
+(* Where a preempted task goes: BE work back to the head of the BE queue,
+   LC work to the dispatcher's queue. *)
+let requeue t (task : Task.t) =
+  if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
+  else
+    t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
+      ~reason:Sched_ops.Enq_preempted task
+
 (* ---- worker-side execution ---------------------------------------------- *)
 
 let rec start_on t w (task : Task.t) =
@@ -219,12 +227,12 @@ and reschedule t w ~prev =
   | Percore -> schedule t w ~prev
 
 (* Preemption of the task currently on [w]; the caller already charged the
-   delivery latency.  [requeue] decides where the preempted task goes. *)
-and do_preempt t w gen ~requeue =
+   delivery latency. *)
+and do_preempt t w gen =
   if w.gen = gen then
     match Rc.depose t.rc w.ex ~overhead:t.mech.preempt_receive with
     | Some task ->
-        requeue task;
+        requeue t task;
         reschedule t w ~prev:(Some task)
     | None -> ()
 
@@ -233,7 +241,7 @@ and do_preempt t w gen ~requeue =
    consulted here: a dropped notification silently loses the preemption
    (the §3.2 lost-wakeup window — the watchdog is the backstop), a delayed
    one stretches the delivery latency. *)
-and deliver_preempt t w gen ~requeue =
+and deliver_preempt t w gen =
   match
     Machine.fault_fate t.rc.Rc.machine ~core:w.ex.Rc.exec_core
       Vectors.uintr_notification
@@ -242,11 +250,11 @@ and deliver_preempt t w gen ~requeue =
   | Machine.Delay d ->
       ignore
         (Engine.after t.rc.Rc.engine (t.mech.preempt_delivery + d) (fun () ->
-             do_preempt t w gen ~requeue))
+             do_preempt t w gen))
   | Machine.Deliver ->
       ignore
         (Engine.after t.rc.Rc.engine t.mech.preempt_delivery (fun () ->
-             do_preempt t w gen ~requeue))
+             do_preempt t w gen))
 
 and quantum_check t w (task : Task.t) gen =
   let still_running =
@@ -256,10 +264,7 @@ and quantum_check t w (task : Task.t) gen =
   in
   if still_running then begin
     t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-    dispatcher_do t t.mech.preempt_send (fun () ->
-        deliver_preempt t w gen ~requeue:(fun task ->
-            t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-              ~reason:Sched_ops.Enq_preempted task))
+    dispatcher_do t t.mech.preempt_send (fun () -> deliver_preempt t w gen)
   end
 
 (* The quantum timer's stable callback: [quantum_check] compares [qt_gen]
@@ -275,32 +280,32 @@ let quantum_fire t w =
 let preempt_now t w =
   match Rc.depose t.rc w.ex ~overhead:0 with
   | Some task ->
-      if Rc.is_be t.rc task then begin
-        t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
-        Runqueue.push_head t.rc.Rc.be_queue task
-      end
-      else begin
-        t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-        t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-          ~reason:Sched_ops.Enq_preempted task
-      end;
+      if Rc.is_be t.rc task then t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
+      else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+      requeue t task;
       schedule t w ~prev:(Some task)
   | None -> ()
+
+(* Preempt [task], running on [w], to reclaim the core for LC work or
+   for the broker.  In central mode it rides the same send/deliver path as quantum
+   preemption, so IPI faults apply; in percore mode it is a synchronous
+   local preemption with the receive cost charged. *)
+let preempt_running t w (task : Task.t) =
+  match t.mode with
+  | Central ->
+      let gen = w.gen in
+      if Rc.is_be t.rc task then t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
+      else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+      dispatcher_do t t.mech.preempt_send (fun () -> deliver_preempt t w gen)
+  | Percore ->
+      steal_time t w (Costs.uipi_receive_ns ~cross_numa:false);
+      preempt_now t w
 
 let preempt_be_worker t w =
   match w.ex.Rc.current with
   | Some task
     when Rc.is_be t.rc task && not (Eventq.is_null w.ex.Rc.completion) ->
-      (match t.mode with
-      | Central ->
-          let gen = w.gen in
-          t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
-          dispatcher_do t t.mech.preempt_send (fun () ->
-              deliver_preempt t w gen ~requeue:(fun task ->
-                  Runqueue.push_head t.rc.Rc.be_queue task))
-      | Percore ->
-          steal_time t w (Costs.uipi_receive_ns ~cross_numa:false);
-          preempt_now t w);
+      preempt_running t w task;
       true
   | _ -> false
 
@@ -321,7 +326,7 @@ let kick t w =
 let redrive t w =
   match t.mode with
   | Central -> try_next t w
-  | Percore -> if w.ex.Rc.current = None then kick t w
+  | Percore -> kick t w
 
 (* One pass in worker order suffices: [try_next] on a free worker either
    reserves it or drains the queue, and frees no other worker. *)
@@ -404,11 +409,7 @@ let on_tick t w =
 
 let rescue_worker t w ~late =
   Rc.rescued t.rc w.ex ~late;
-  do_preempt t w w.gen ~requeue:(fun task ->
-      if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
-      else
-        t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-          ~reason:Sched_ops.Enq_preempted task)
+  do_preempt t w w.gen
 
 let watchdog_scan t ~bound =
   (* Dispatcher failover: the serial dispatcher is wedged more than a full
@@ -459,30 +460,11 @@ let set_be_allowance t n =
   else if n > old then Array.iter (redrive t) t.workers
 
 (* Preempt whatever runs on [w] — LC or BE — because the broker capped the
-   worker out; the refugee requeues at the dispatcher (LC) or BE queue
-   head.  In central mode it rides the same send/deliver path as quantum
-   preemption, so IPI faults apply and [try_next]'s gate keeps the worker
-   empty afterwards; in percore mode it is a synchronous local preemption
-   with the receive cost charged. *)
+   worker out; the scheduling gate keeps the worker empty afterwards. *)
 let preempt_capped_worker t w =
   match w.ex.Rc.current with
-  | Some task when not (Eventq.is_null w.ex.Rc.completion) -> (
-      match t.mode with
-      | Central ->
-          let gen = w.gen in
-          if Rc.is_be t.rc task then
-            t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
-          else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-          dispatcher_do t t.mech.preempt_send (fun () ->
-              deliver_preempt t w gen ~requeue:(fun task ->
-                  if Rc.is_be t.rc task then
-                    Runqueue.push_head t.rc.Rc.be_queue task
-                  else
-                    t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-                      ~reason:Sched_ops.Enq_preempted task))
-      | Percore ->
-          steal_time t w (Costs.uipi_receive_ns ~cross_numa:false);
-          preempt_now t w)
+  | Some task when not (Eventq.is_null w.ex.Rc.completion) ->
+      preempt_running t w task
   | _ -> ()
 
 (* The machine-level broker's reclaim/grant muscle: how many workers this
