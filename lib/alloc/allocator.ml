@@ -43,6 +43,9 @@ type binding = {
   mutable last_busy_ns : int;
   mutable stale_ticks : int;  (* consecutive ticks with a frozen signal *)
   series : Timeseries.t;
+  (* Per-tick scratch, so a tick builds no list, tuple or closure: *)
+  mutable signal : Policy.signal;  (* this tick's sample, as the policy sees it *)
+  mutable decision : Policy.decision;  (* the policy's answer to [signal] *)
 }
 
 type t = {
@@ -125,6 +128,15 @@ let register t ~app ~name ~kind ~bounds ~initial ~sample ~apply =
       last_busy_ns = (sample ()).busy_ns;
       stale_ticks = 0;
       series = Timeseries.create ();
+      signal =
+        {
+          Policy.kind;
+          cores = initial;
+          runq_len = 0;
+          oldest_delay = 0;
+          utilization = 0.0;
+        };
+      decision = Policy.Hold;
     }
   in
   Timeseries.record b.series ~at:(Engine.now t.engine) initial;
@@ -158,6 +170,9 @@ let transition t b ~action ~delta =
     t.on_event ev
   end
 
+(* Derive [b]'s policy-facing signal from its raw sample into [b.signal].
+   Signals are immutable, so one equal to the previous tick's — the
+   steady state of an idle or saturated app — is kept rather than rebuilt. *)
 let signal_of t b (r : raw) =
   let busy = max 0 (r.busy_ns - b.last_busy_ns) in
   b.last_busy_ns <- r.busy_ns;
@@ -167,14 +182,25 @@ let signal_of t b (r : raw) =
   if busy = 0 && r.runq_len > 0 && b.granted > 0 then
     b.stale_ticks <- b.stale_ticks + 1
   else b.stale_ticks <- 0;
-  {
-    Policy.kind = b.kind;
-    cores = b.granted;
-    runq_len = r.runq_len;
-    oldest_delay = r.oldest_delay;
-    utilization =
-      float_of_int busy /. float_of_int (t.interval * max 1 b.granted);
-  }
+  let utilization =
+    float_of_int busy /. float_of_int (t.interval * max 1 b.granted)
+  in
+  let s = b.signal in
+  if
+    not
+      (s.Policy.cores = b.granted
+      && s.Policy.runq_len = r.runq_len
+      && s.Policy.oldest_delay = r.oldest_delay
+      && Float.equal s.Policy.utilization utilization)
+  then
+    b.signal <-
+      {
+        Policy.kind = b.kind;
+        cores = b.granted;
+        runq_len = r.runq_len;
+        oldest_delay = r.oldest_delay;
+        utilization;
+      }
 
 (* Mode transitions bypass {!transition}: they move no cores. *)
 let emit_mode t action =
@@ -192,11 +218,15 @@ let emit_mode t action =
   Queue.push ev t.event_log;
   t.on_event ev
 
+let rec any_stale n = function
+  | [] -> false
+  | b :: rest -> b.stale_ticks >= n || any_stale n rest
+
 let update_mode t =
   match t.degrade_after with
   | None -> ()
   | Some n ->
-      let stale = List.exists (fun b -> b.stale_ticks >= n) t.apps in
+      let stale = any_stale n t.apps in
       if stale && not t.degraded then begin
         t.degraded <- true;
         t.degradations <- t.degradations + 1;
@@ -207,67 +237,91 @@ let update_mode t =
         emit_mode t Recovered
       end
 
+(* The tick's phases, each one walk over [t.apps] in registration order,
+   reading and writing the bindings' scratch fields; the free pool is
+   threaded through as the walks' result. *)
+
+let rec sample_all t = function
+  | [] -> ()
+  | b :: rest ->
+      signal_of t b (b.sample ());
+      sample_all t rest
+
+let rec observe_all policy = function
+  | [] -> ()
+  | b :: rest ->
+      b.decision <- Policy.observe policy ~app:b.id b.signal;
+      observe_all policy rest
+
+(* 1. voluntary yields refill the pool (never below the guaranteed floor) *)
+let rec yields t free = function
+  | [] -> free
+  | b :: rest -> (
+      match b.decision with
+      | Policy.Yield n ->
+          let n = min n (b.granted - b.bounds.guaranteed) in
+          if n > 0 then begin
+            transition t b ~action:Yielded ~delta:(-n);
+            yields t (free + n) rest
+          end
+          else yields t free rest
+      | Policy.Grant _ | Policy.Hold -> yields t free rest)
+
+(* An LC grant still short by [want] cores steals from BE donors above
+   their guaranteed floor, in registration order. *)
+let rec steal_from_be t b want = function
+  | [] -> ()
+  | donor :: rest ->
+      if want > 0 && donor.kind = Policy.Be then begin
+        let steal = min want (donor.granted - donor.bounds.guaranteed) in
+        if steal > 0 then begin
+          transition t donor ~action:Reclaimed ~delta:(-steal);
+          transition t b ~action:Granted ~delta:steal;
+          steal_from_be t b (want - steal) rest
+        end
+        else steal_from_be t b want rest
+      end
+      else steal_from_be t b want rest
+
+(* 2. LC grants: free pool first, then steal from BE above guaranteed *)
+let rec lc_grants t free = function
+  | [] -> free
+  | b :: rest -> (
+      match (b.kind, b.decision) with
+      | Policy.Lc, Policy.Grant n ->
+          let want = min n (b.bounds.burstable - b.granted) in
+          let from_free = max 0 (min want free) in
+          if from_free > 0 then transition t b ~action:Granted ~delta:from_free;
+          steal_from_be t b (want - from_free) t.apps;
+          lc_grants t (free - from_free) rest
+      | _ -> lc_grants t free rest)
+
+(* 3. BE grants: whatever the pool still holds *)
+let rec be_grants t free = function
+  | [] -> ()
+  | b :: rest -> (
+      match (b.kind, b.decision) with
+      | Policy.Be, Policy.Grant n ->
+          let take = min (min n (b.bounds.burstable - b.granted)) free in
+          if take > 0 then begin
+            transition t b ~action:Granted ~delta:take;
+            be_grants t (free - take) rest
+          end
+          else be_grants t free rest
+      | _ -> be_grants t free rest)
+
 let tick t =
   t.ticks <- t.ticks + 1;
-  let sampled = List.map (fun b -> (b, signal_of t b (b.sample ()))) t.apps in
+  sample_all t t.apps;
   update_mode t;
   (* Graceful degradation: while congestion signals are stale, decide with
      the predictable Static fallback instead of an adaptive policy whose
      hysteresis state is being fed frozen inputs. *)
   let policy = if t.degraded then t.fallback else t.policy in
-  let decisions =
-    List.map (fun (b, s) -> (b, Policy.observe policy ~app:b.id s)) sampled
-  in
-  let free = ref (free_cores t) in
-  (* 1. voluntary yields refill the pool (never below the guaranteed floor) *)
-  List.iter
-    (fun (b, d) ->
-      match d with
-      | Policy.Yield n ->
-          let n = min n (b.granted - b.bounds.guaranteed) in
-          if n > 0 then begin
-            transition t b ~action:Yielded ~delta:(-n);
-            free := !free + n
-          end
-      | Policy.Grant _ | Policy.Hold -> ())
-    decisions;
-  (* 2. LC grants: free pool first, then steal from BE above guaranteed *)
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Lc, Policy.Grant n ->
-          let want = ref (min n (b.bounds.burstable - b.granted)) in
-          let from_free = min !want !free in
-          if from_free > 0 then begin
-            free := !free - from_free;
-            want := !want - from_free;
-            transition t b ~action:Granted ~delta:from_free
-          end;
-          List.iter
-            (fun donor ->
-              if !want > 0 && donor.kind = Policy.Be then begin
-                let steal = min !want (donor.granted - donor.bounds.guaranteed) in
-                if steal > 0 then begin
-                  transition t donor ~action:Reclaimed ~delta:(-steal);
-                  transition t b ~action:Granted ~delta:steal;
-                  want := !want - steal
-                end
-              end)
-            t.apps
-      | _ -> ())
-    decisions;
-  (* 3. BE grants: whatever the pool still holds *)
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Be, Policy.Grant n ->
-          let take = min (min n (b.bounds.burstable - b.granted)) !free in
-          if take > 0 then begin
-            free := !free - take;
-            transition t b ~action:Granted ~delta:take
-          end
-      | _ -> ())
-    decisions
+  observe_all policy t.apps;
+  let free = yields t (free_cores t) t.apps in
+  let free = lc_grants t free t.apps in
+  be_grants t free t.apps
 
 let start t =
   if t.running then invalid_arg "Allocator.start: already running";

@@ -65,9 +65,9 @@ module Utilization_impl = struct
   let name = "utilization"
 
   let state t app =
-    match Hashtbl.find_opt t.apps app with
-    | Some st -> st
-    | None ->
+    match Hashtbl.find t.apps app with
+    | st -> st
+    | exception Not_found ->
         let st = { above = 0; below = 0 } in
         Hashtbl.replace t.apps app st;
         st
@@ -128,9 +128,9 @@ module Delay_impl = struct
   let name = "delay"
 
   let state t app =
-    match Hashtbl.find_opt t.apps app with
-    | Some st -> st
-    | None ->
+    match Hashtbl.find t.apps app with
+    | st -> st
+    | exception Not_found ->
         let st = { calm = 0 } in
         Hashtbl.replace t.apps app st;
         st

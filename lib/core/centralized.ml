@@ -422,23 +422,23 @@ let watchdog_scan t ~bound =
     Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Failover "dispatcher";
     t.disp_busy_until <- now t + Costs.app_switch_ns
   end;
-  Array.iter
-    (fun w ->
-      if now t >= w.ex.Rc.stolen_until then
-        match w.ex.Rc.current with
-        | Some task when not (Eventq.is_null w.ex.Rc.completion) ->
-            (* A run up to the quantum, or a tick period under percore
-               mode, is legitimate; a full bound past the expected
-               preemption point means the preemption was lost. *)
-            let allowed =
-              bound
-              + if Rc.is_be t.rc task then 0
-                else max (max t.quantum 0) t.tick_period
-            in
-            let overrun = now t - task.Task.run_start - allowed in
-            if overrun > 0 then rescue_worker t w ~late:overrun
-        | _ -> ())
-    t.workers
+  for i = 0 to Array.length t.workers - 1 do
+    let w = t.workers.(i) in
+    if now t >= w.ex.Rc.stolen_until then
+      match w.ex.Rc.current with
+      | Some task when not (Eventq.is_null w.ex.Rc.completion) ->
+          (* A run up to the quantum, or a tick period under percore
+             mode, is legitimate; a full bound past the expected
+             preemption point means the preemption was lost. *)
+          let allowed =
+            bound
+            + if Rc.is_be t.rc task then 0
+              else max (max t.quantum 0) t.tick_period
+          in
+          let overrun = now t - task.Task.run_start - allowed in
+          if overrun > 0 then rescue_worker t w ~late:overrun
+      | _ -> ()
+  done
 
 (* ---- core allocation ----------------------------------------------------- *)
 

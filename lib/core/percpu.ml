@@ -31,6 +31,12 @@ let storm_park_after = 2
 type cpu = {
   ex : Rc.exec;
   mutable kick_pending : bool;
+  kick_timer : Engine.timer;
+      (* the core's one reusable kick event: armed only while no kick is
+         pending, so each kick is exactly one schedule call *)
+  mutable pick : unit -> Task.t option;
+      (* the core's dequeue order (BE grant, own queue, balance), built
+         once at construction *)
   mutable parked : bool;  (* yielded to the kernel while idle (Shenango) *)
   mutable idle_gen : int;  (* invalidates stale park timers *)
   mutable last_sched : Time.t;  (* last scheduling point (watchdog) *)
@@ -88,6 +94,24 @@ let park_now t cpu =
     t.parks <- t.parks + 1
   end
 
+(* What [cpu] runs next, before the killed-task filter.  Cores inside the
+   allocator's current BE grant belong to BE — they dispatch BE work ahead
+   of LC so a guaranteed core cannot be starved by LC backlog.  LC
+   congestion claws cores back through the allocator shrinking the
+   allowance, not by out-queueing BE here. *)
+let pick_next rc cpu =
+  let be_next =
+    if Rc.be_occupancy rc < rc.Rc.be_allowance then
+      Runqueue.pop_head rc.Rc.be_queue
+    else None
+  in
+  match be_next with
+  | Some task -> Some task
+  | None -> (
+      match rc.Rc.policy.task_dequeue ~cpu:cpu.ex.Rc.exec_core with
+      | Some task -> Some task
+      | None -> rc.Rc.policy.sched_balance ~cpu:cpu.ex.Rc.exec_core)
+
 let rec schedule t cpu ~prev =
   let rc = t.rc in
   if Rc.unit_capped rc cpu.ex then begin
@@ -97,24 +121,7 @@ let rec schedule t cpu ~prev =
     cpu.idle_gen <- cpu.idle_gen + 1
   end
   else
-  let pick () =
-    (* Cores inside the allocator's current BE grant belong to BE — they
-       dispatch BE work ahead of LC so a guaranteed core cannot be starved
-       by LC backlog.  LC congestion claws cores back through the
-       allocator shrinking the allowance, not by out-queueing BE here. *)
-    let be_next =
-      if Rc.be_occupancy rc < rc.Rc.be_allowance then
-        Runqueue.pop_head rc.Rc.be_queue
-      else None
-    in
-    match be_next with
-    | Some task -> Some task
-    | None -> (
-        match rc.Rc.policy.task_dequeue ~cpu:cpu.ex.Rc.exec_core with
-        | Some task -> Some task
-        | None -> rc.Rc.policy.sched_balance ~cpu:cpu.ex.Rc.exec_core)
-  in
-  match Rc.next_live rc pick with
+  match Rc.next_live rc cpu.pick with
   | None ->
       cpu.ex.Rc.current <- None;
       cpu.idle_gen <- cpu.idle_gen + 1;
@@ -195,11 +202,12 @@ let kick t cpu =
     cpu.kick_pending <- true;
     (* A stolen core cannot react until the host kernel hands it back. *)
     let delay = max 0 (cpu.ex.Rc.stolen_until - now t) in
-    ignore
-      (Engine.after t.rc.Rc.engine delay (fun () ->
-           cpu.kick_pending <- false;
-           if cpu.ex.Rc.current = None then schedule t cpu ~prev:None))
+    Engine.arm_after cpu.kick_timer delay
   end
+
+let kick_fire t cpu =
+  cpu.kick_pending <- false;
+  if cpu.ex.Rc.current = None then schedule t cpu ~prev:None
 
 let kick_core t core = kick t (cpu_of t core)
 
@@ -276,11 +284,11 @@ let uintr_handler t cpu ctx ~uvec =
   else
     (* Delegated peripheral interrupt (§6): charge the receive overhead and
        run the registered driver handler in user space. *)
-    match Hashtbl.find_opt t.uvec_handlers uvec with
-    | Some handler ->
+    match Hashtbl.find t.uvec_handlers uvec with
+    | handler ->
         steal_time t cpu (Costs.uipi_receive_ns ~cross_numa:false);
         handler cpu.ex.Rc.exec_core
-    | None -> ()
+    | exception Not_found -> ()
 
 (* ---- watchdog recovery --------------------------------------------------- *)
 
@@ -306,18 +314,18 @@ let rescue t cpu ~bound =
   cpu.last_sched <- now t
 
 let watchdog_scan t ~bound =
-  Array.iter
-    (fun cpu ->
-      match cpu.ex.Rc.current with
-      | Some _
-        when now t >= cpu.ex.Rc.stolen_until
-             && (not
-                   (Machine.interrupts_masked
-                      (Machine.core t.rc.Rc.machine cpu.ex.Rc.exec_core)))
-             && now t - cpu.last_sched > bound ->
-          rescue t cpu ~bound
-      | _ -> ())
-    t.cpus
+  for i = 0 to Array.length t.cpus - 1 do
+    let cpu = t.cpus.(i) in
+    match cpu.ex.Rc.current with
+    | Some _
+      when now t >= cpu.ex.Rc.stolen_until
+           && (not
+                 (Machine.interrupts_masked
+                    (Machine.core t.rc.Rc.machine cpu.ex.Rc.exec_core)))
+           && now t - cpu.last_sched > bound ->
+        rescue t cpu ~bound
+    | _ -> ()
+  done
 
 (* The host kernel stole this core: the running segment makes no progress
    for the outage, and wake-up kicks defer until hand-back.  Deferred
@@ -353,12 +361,15 @@ let make ~name machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog ctor =
       invalid_arg (who ^ ": watchdog bound must be positive")
   | Some _ | None -> ());
   let cores_arr = Array.of_list cores in
+  let engine = Machine.engine machine in
   let cpus =
     Array.map
       (fun core_id ->
         {
           ex = Rc.make_exec core_id;
           kick_pending = false;
+          kick_timer = Engine.timer engine ignore;
+          pick = (fun () -> None);
           parked = false;
           idle_gen = 0;
           last_sched = 0;
@@ -384,7 +395,12 @@ let make ~name machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog ctor =
       uvec_handlers = Hashtbl.create 8;
     }
   in
-  Array.iter (fun cpu -> Hashtbl.replace t.by_core cpu.ex.Rc.exec_core cpu) cpus;
+  Array.iter
+    (fun cpu ->
+      Hashtbl.replace t.by_core cpu.ex.Rc.exec_core cpu;
+      cpu.pick <- (fun () -> pick_next t.rc cpu);
+      Engine.set_callback cpu.kick_timer (fun () -> kick_fire t cpu))
+    cpus;
   Rc.install_dispatch t.rc
     {
       Rc.d_units = Array.map (fun cpu -> cpu.ex) cpus;

@@ -215,16 +215,16 @@ let be_occupancy t =
   match t.be_app with
   | None -> 0
   | Some app ->
-      Array.fold_left
-        (fun acc ex ->
-          let running =
-            match ex.current with
-            | Some task -> task.Task.app = app.App.id
-            | None -> false
-          in
-          if running || t.dispatch.d_incoming_app ex = app.App.id then acc + 1
-          else acc)
-        0 t.dispatch.d_units
+      let id = app.App.id and units = t.dispatch.d_units in
+      let n = ref 0 in
+      for i = 0 to Array.length units - 1 do
+        let ex = Array.unsafe_get units i in
+        let running =
+          match ex.current with Some task -> task.Task.app = id | None -> false
+        in
+        if running || t.dispatch.d_incoming_app ex = id then incr n
+      done;
+      !n
 
 (* ---- accounting and trace vocabulary ------------------------------------- *)
 
@@ -299,6 +299,8 @@ let rec process t ex (task : Task.t) =
       end
   | Coro.Exit ->
       task.state <- Task.Exited;
+      Engine.cancel t.engine task.deadline_timer;
+      task.deadline_timer <- Eventq.null;
       account t ex;
       release t ex;
       let app = find_app t task.app in
@@ -473,7 +475,10 @@ let kill t ?on_drop (task : Task.t) =
 
 let arm_deadline t ?on_drop (task : Task.t) ~deadline ~who =
   if deadline <= 0 then invalid_arg (who ^ ": deadline must be positive");
-  ignore (Engine.after t.engine deadline (fun () -> kill t ?on_drop task))
+  task.Task.deadline_timer <-
+    Engine.after t.engine deadline (fun () ->
+        task.Task.deadline_timer <- Eventq.null;
+        kill t ?on_drop task)
 
 (* ---- task admission ------------------------------------------------------- *)
 
@@ -546,29 +551,36 @@ let freeze_for_steal t ex ~duration =
 (* ---- busy accounting for the allocator ----------------------------------- *)
 
 (* Busy nanoseconds including the in-flight segment of running units, so
-   the allocator's utilization sample does not lag long-running tasks. *)
-let in_flight_busy t ~matches =
-  Array.fold_left
-    (fun acc ex ->
-      match ex.current with
-      | Some task when matches task.Task.app -> acc + max 0 (now t - ex.busy_from)
-      | _ -> acc)
-    0 t.dispatch.d_units
+   the allocator's utilization sample does not lag long-running tasks:
+   units running app [id] ([~except:false]) or any app but [id]
+   ([~except:true]; app ids are never negative, so [~id:(-1)] counts every
+   unit).  Plain loops: these run on every allocator tick. *)
+let in_flight_busy t ~id ~except =
+  let units = t.dispatch.d_units and now = now t in
+  let acc = ref 0 in
+  for i = 0 to Array.length units - 1 do
+    let ex = Array.unsafe_get units i in
+    match ex.current with
+    | Some task when (task.Task.app = id) <> except ->
+        acc := !acc + max 0 (now - ex.busy_from)
+    | _ -> ()
+  done;
+  !acc
+
+let rec busy_except id acc = function
+  | [] -> acc
+  | (a : App.t) :: rest ->
+      busy_except id (if a.App.id = id then acc else acc + a.App.busy_ns) rest
 
 let lc_busy_ns t =
   let be_id = match t.be_app with Some app -> app.App.id | None -> -1 in
-  let recorded =
-    List.fold_left
-      (fun acc (a : App.t) -> if a.App.id = be_id then acc else acc + a.App.busy_ns)
-      t.daemon.App.busy_ns t.apps
-  in
-  recorded + in_flight_busy t ~matches:(fun id -> id <> be_id)
+  busy_except be_id t.daemon.App.busy_ns t.apps
+  + in_flight_busy t ~id:be_id ~except:true
 
 let be_busy_ns t (app : App.t) =
-  app.App.busy_ns + in_flight_busy t ~matches:(fun id -> id = app.App.id)
+  app.App.busy_ns + in_flight_busy t ~id:app.App.id ~except:false
 
-let total_busy_ns t =
-  List.fold_left (fun acc app -> acc + app.App.busy_ns) t.daemon.App.busy_ns t.apps
+let total_busy_ns t = busy_except (-1) t.daemon.App.busy_ns t.apps
 
 (* The congestion sample a machine-level broker reads for this runtime as
    a whole: the LC policy probe plus the BE backlog, and total busy time
@@ -578,7 +590,7 @@ let congestion t =
   {
     Allocator.runq_len = t.probe.Sched_ops.queued () + Runqueue.length t.be_queue;
     oldest_delay = t.probe.Sched_ops.oldest_wait ();
-    busy_ns = total_busy_ns t + in_flight_busy t ~matches:(fun _ -> true);
+    busy_ns = total_busy_ns t + in_flight_busy t ~id:(-1) ~except:true;
   }
 
 (* ---- BE attachment and the core allocator -------------------------------- *)
@@ -601,6 +613,22 @@ let spawn_be_workers t (app : App.t) ~chunk ~workers ~who =
     Runqueue.push_tail t.be_queue task
   done
 
+(* The allocator samples every app every tick.  A raw sample is immutable,
+   so one equal to the previous tick's — an idle app's, tick after tick —
+   is handed back again instead of being rebuilt. *)
+let resample (last : Allocator.raw ref) ~runq_len ~oldest_delay ~busy_ns =
+  let r = !last in
+  if
+    r.Allocator.runq_len = runq_len
+    && r.Allocator.oldest_delay = oldest_delay
+    && r.Allocator.busy_ns = busy_ns
+  then r
+  else begin
+    let r = { Allocator.runq_len; oldest_delay; busy_ns } in
+    last := r;
+    r
+  end
+
 (* Start the congestion-driven core allocator: LC registered on the policy
    probe's congestion signals, BE on its queue backlog; [set_allowance] is
    the runtime's reclaim/grant muscle, and every core moved charges the
@@ -616,26 +644,23 @@ let start_allocator t ~cfg ~be:(app : App.t) ~on_event ~set_allowance =
       ~interval:cfg.Allocator.interval ~total_cores:total ~on_event
       ?degrade_after:cfg.Allocator.degrade_after ()
   in
+  let never = { Allocator.runq_len = -1; oldest_delay = -1; busy_ns = -1 } in
+  let lc_last = ref never and be_last = ref never in
   Allocator.register alloc ~app:0 ~name:"lc" ~kind:Alloc_policy.Lc
     ~bounds:{ Allocator.guaranteed = 0; burstable = total }
     ~initial:(total - burst)
     ~sample:(fun () ->
-      {
-        Allocator.runq_len = t.probe.Sched_ops.queued ();
-        oldest_delay = t.probe.Sched_ops.oldest_wait ();
-        busy_ns = lc_busy_ns t;
-      })
+      resample lc_last ~runq_len:(t.probe.Sched_ops.queued ())
+        ~oldest_delay:(t.probe.Sched_ops.oldest_wait ())
+        ~busy_ns:(lc_busy_ns t))
     ~apply:(fun ~granted:_ ~delta:_ -> 0);
   Allocator.register alloc ~app:app.App.id ~name:app.App.name
     ~kind:Alloc_policy.Be
     ~bounds:{ Allocator.guaranteed = guar; burstable = burst }
     ~initial:burst
     ~sample:(fun () ->
-      {
-        Allocator.runq_len = Runqueue.length t.be_queue;
-        oldest_delay = 0;
-        busy_ns = be_busy_ns t app;
-      })
+      resample be_last ~runq_len:(Runqueue.length t.be_queue) ~oldest_delay:0
+        ~busy_ns:(be_busy_ns t app))
     ~apply:(fun ~granted ~delta ->
       set_allowance granted;
       Costs.app_switch_ns * abs delta);

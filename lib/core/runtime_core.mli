@@ -235,7 +235,11 @@ val freeze_for_steal : t -> exec -> duration:Time.t -> unit
 
 (** {1 Busy accounting} *)
 
-val in_flight_busy : t -> matches:(int -> bool) -> int
+val in_flight_busy : t -> id:int -> except:bool -> int
+(** In-flight busy nanoseconds of the units running app [id]
+    ([~except:false]) or any app but [id] ([~except:true]); [~id:(-1)
+    ~except:true] counts every running unit. *)
+
 val lc_busy_ns : t -> int
 val be_busy_ns : t -> App.t -> int
 val total_busy_ns : t -> int

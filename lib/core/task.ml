@@ -25,6 +25,7 @@ type t = {
   mutable service : Time.t;
   mutable on_exit : (t -> unit) option;
   mutable killed : bool;
+  mutable deadline_timer : Skyloft_sim.Eventq.handle;
   mutable obs_start : Time.t;
   mutable obs_enq_at : Time.t;
   mutable obs_block_at : Time.t;
@@ -56,6 +57,7 @@ let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
     service;
     on_exit;
     killed = false;
+    deadline_timer = Skyloft_sim.Eventq.null;
     obs_start = 0;
     obs_enq_at = 0;
     obs_block_at = 0;

@@ -45,6 +45,10 @@ type t = {
   mutable killed : bool;
       (** killed at its deadline while in a runqueue; the runtime discards
           it lazily at the next dequeue instead of searching every queue *)
+  mutable deadline_timer : Skyloft_sim.Eventq.handle;
+      (** the pending deadline kill, cancelled when the task exits so a
+          finished task does not stay reachable from the event queue;
+          [Eventq.null] when none is armed *)
   mutable obs_start : Time.t;
       (** when the runtime first accepted the task (latency-attribution
           epoch; distinct from [arrival], which workloads may backdate) *)

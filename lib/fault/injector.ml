@@ -63,6 +63,14 @@ let periodic t ~(window : Plan.window) ~period fire =
         true
       end)
 
+(* The IPI hook's per-query helpers, top-level so a query allocates no
+   closure or option: [no_loss] stands for "no IPI-loss plan active". *)
+let no_loss = { Plan.p_drop = 0.0; p_delay = 0.0; delay = 0 }
+
+let rec active_loss ~at = function
+  | [] -> no_loss
+  | (w, l) :: rest -> if Plan.active w ~at then l else active_loss ~at rest
+
 let pick_core t cores =
   let arr = Array.of_list cores in
   arr.(Rng.int t.rng (Array.length arr))
@@ -83,28 +91,34 @@ let arm t target plans =
      window is active decides the fate of each queried delivery.  The hook
      only touches notification and delegated-timer vectors on target cores:
      everything else delivers untouched. *)
-  if ipi_plans <> [] then
+  if ipi_plans <> [] then begin
+    (* Target-core membership, precomputed: the hook runs on every tick. *)
+    let targeted =
+      Array.make (1 + List.fold_left max (-1) target.cores) false
+    in
+    List.iter (fun core -> if core >= 0 then targeted.(core) <- true) target.cores;
     Machine.set_fault_hook target.machine (fun ~core vector ->
         let applicable =
           (vector = Vectors.uintr_notification || vector = Vectors.timer)
-          && List.mem core target.cores
+          && core >= 0
+          && core < Array.length targeted
+          && targeted.(core)
         in
         if not applicable then Machine.Deliver
         else
-          match
-            List.find_opt (fun (w, _) -> Plan.active w ~at:(now t)) ipi_plans
-          with
-          | None -> Machine.Deliver
-          | Some (_, { Plan.p_drop; p_delay; delay }) ->
-              if p_drop > 0.0 && Rng.uniform t.rng < p_drop then begin
-                record t ~kind:"ipi-drop" ~core;
-                Machine.Drop
-              end
-              else if p_delay > 0.0 && Rng.uniform t.rng < p_delay then begin
-                record t ~kind:"ipi-delay" ~core;
-                Machine.Delay delay
-              end
-              else Machine.Deliver);
+          let l = active_loss ~at:(now t) ipi_plans in
+          if l == no_loss then Machine.Deliver
+          else if l.Plan.p_drop > 0.0 && Rng.uniform t.rng < l.Plan.p_drop then begin
+            record t ~kind:"ipi-drop" ~core;
+            Machine.Drop
+          end
+          else if l.Plan.p_delay > 0.0 && Rng.uniform t.rng < l.Plan.p_delay
+          then begin
+            record t ~kind:"ipi-delay" ~core;
+            Machine.Delay l.Plan.delay
+          end
+          else Machine.Deliver)
+  end;
   let packet_plans =
     List.filter_map
       (fun (p : Plan.t) ->

@@ -3,14 +3,21 @@ module Engine = Skyloft_sim.Engine
 
 type vector = int
 
+(* PIR and UIRR are 64-bit registers (uvec 0..63) kept in one 16-byte
+   buffer and accessed unboxed, so posting and recognising an interrupt
+   allocates nothing; mutable [int64] fields would box on every write. *)
 type uintr_ctx = {
-  mutable pir : int64;
+  regs : Bytes.t;  (* PIR at byte 0, UIRR at byte 8 *)
   mutable sn : bool;
   mutable uinv : vector;
-  mutable uirr : int64;
   mutable handler : (uvec:int -> unit) option;
   mutable installed_on : int option;
 }
+
+let[@inline] pir ctx = Bytes.get_int64_ne ctx.regs 0
+let[@inline] set_pir ctx v = Bytes.set_int64_ne ctx.regs 0 v
+let[@inline] uirr ctx = Bytes.get_int64_ne ctx.regs 8
+let[@inline] set_uirr ctx v = Bytes.set_int64_ne ctx.regs 8 v
 
 type core = {
   id : int;
@@ -82,17 +89,17 @@ let interrupts_masked c = c.masked
 (* Recognition: move posted PIR bits into the UIRR and run the handler once
    per set bit, highest vector first (x86 priority order). *)
 let recognize c ctx =
-  if ctx.pir = 0L then c.dropped <- c.dropped + 1
+  if pir ctx = 0L then c.dropped <- c.dropped + 1
   else begin
-    ctx.uirr <- Int64.logor ctx.uirr ctx.pir;
-    ctx.pir <- 0L;
+    set_uirr ctx (Int64.logor (uirr ctx) (pir ctx));
+    set_pir ctx 0L;
     match ctx.handler with
     | None -> ()
     | Some handler ->
         for uvec = 63 downto 0 do
           let bit = Int64.shift_left 1L uvec in
-          if Int64.logand ctx.uirr bit <> 0L then begin
-            ctx.uirr <- Int64.logand ctx.uirr (Int64.lognot bit);
+          if Int64.logand (uirr ctx) bit <> 0L then begin
+            set_uirr ctx (Int64.logand (uirr ctx) (Int64.lognot bit));
             c.user_interrupts <- c.user_interrupts + 1;
             handler ~uvec
           end
@@ -223,8 +230,8 @@ let timer_one_shot t ~core:i ~after =
 let timer_hz c = c.hz
 
 let uintr_create_ctx () =
-  { pir = 0L; sn = false; uinv = Vectors.uintr_notification; uirr = 0L; handler = None;
-    installed_on = None }
+  { regs = Bytes.make 16 '\000'; sn = false; uinv = Vectors.uintr_notification;
+    handler = None; installed_on = None }
 
 let uintr_register_handler ctx ~uinv handler =
   ctx.uinv <- uinv;
@@ -233,7 +240,7 @@ let uintr_register_handler ctx ~uinv handler =
 let uintr_set_uinv ctx v = ctx.uinv <- v
 let uintr_set_sn ctx sn = ctx.sn <- sn
 let uintr_sn ctx = ctx.sn
-let uintr_pir_pending ctx = ctx.pir <> 0L
+let uintr_pir_pending ctx = pir ctx <> 0L
 
 let uintr_install t ~core:i ctx =
   let c = core t i in
@@ -242,7 +249,7 @@ let uintr_install t ~core:i ctx =
   ctx.installed_on <- Some i;
   (* Hardware recognises already-posted interrupts when the thread resumes
      user mode. *)
-  if ctx.pir <> 0L && not c.masked then recognize c ctx
+  if pir ctx <> 0L && not c.masked then recognize c ctx
 
 let uintr_uninstall t ~core:i =
   let c = core t i in
@@ -253,7 +260,7 @@ let uintr_installed t ~core:i = (core t i).uintr
 
 let senduipi t ~src_core ctx ~uvec =
   if uvec < 0 || uvec > 63 then invalid_arg "Machine.senduipi: uvec out of range";
-  ctx.pir <- Int64.logor ctx.pir (Int64.shift_left 1L uvec);
+  set_pir ctx (Int64.logor (pir ctx) (Int64.shift_left 1L uvec));
   if not ctx.sn then
     match ctx.installed_on with
     | Some dst -> send_ipi t ~src:src_core ~dst ctx.uinv

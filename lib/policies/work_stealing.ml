@@ -17,20 +17,22 @@ module Runqueue = Skyloft.Runqueue
 
 let create ?quantum () : Sched_ops.ctor =
  fun view ->
-  let queues = Hashtbl.create 32 in
-  Array.iter (fun core -> Hashtbl.replace queues core (Runqueue.create ())) view.cores;
-  let q cpu =
-    match Hashtbl.find_opt queues cpu with
-    | Some q -> q
-    | None -> invalid_arg "work_stealing: unmanaged cpu"
-  in
   let n = Array.length view.cores in
-  let pos = Hashtbl.create 32 in
-  Array.iteri (fun i core -> Hashtbl.replace pos core i) view.cores;
+  (* Core id -> position in [view.cores] (-1 if unmanaged), and per-position
+     queues and steal cursors: the dequeue and balance paths index arrays
+     instead of allocating a [Hashtbl.find_opt] option per lookup. *)
+  let pos = Array.make (1 + Array.fold_left max (-1) view.cores) (-1) in
+  Array.iteri (fun i core -> pos.(core) <- i) view.cores;
+  let pos_of cpu = if cpu >= 0 && cpu < Array.length pos then pos.(cpu) else -1 in
+  let queues = Array.init n (fun _ -> Runqueue.create ()) in
+  let q cpu =
+    let i = pos_of cpu in
+    if i < 0 then invalid_arg "work_stealing: unmanaged cpu" else queues.(i)
+  in
   (* Per-thief steal cursor: the next scan resumes where the last successful
      steal left off, so repeated steals spread across victims round-robin
-     instead of draining thief+1 first. *)
-  let cursor = Hashtbl.create 32 in
+     instead of draining thief+1 first.  -1 until the first steal. *)
+  let cursor = Array.make n (-1) in
   (* Rotation point for wakeups from unmanaged cores when nobody is idle. *)
   let wake_rr = ref 0 in
   {
@@ -53,7 +55,7 @@ let create ?quantum () : Sched_ops.ctor =
     task_wakeup =
       (fun ~waker_cpu task ->
         let target =
-          if Hashtbl.mem pos waker_cpu then waker_cpu
+          if pos_of waker_cpu >= 0 then waker_cpu
           else begin
             (* Unmanaged waker: prefer an idle core, else rotate the
                fallback so repeated wakeups do not hot-spot core 0. *)
@@ -77,19 +79,15 @@ let create ?quantum () : Sched_ops.ctor =
       (fun ~cpu ->
         (* Round-robin victim scan resuming at the persisted cursor (first
            scan starts just after the thief), stopping at the first hit. *)
-        let self = match Hashtbl.find_opt pos cpu with Some i -> i | None -> 0 in
-        let start =
-          match Hashtbl.find_opt cursor cpu with
-          | Some i -> i
-          | None -> (self + 1) mod n
-        in
+        let self = max 0 (pos_of cpu) in
+        let start = if cursor.(self) >= 0 then cursor.(self) else (self + 1) mod n in
         let stolen = ref None in
         let k = ref 0 in
         while !stolen = None && !k < n do
           let idx = (start + !k) mod n in
           if idx <> self then begin
-            stolen := Runqueue.pop_tail (q view.cores.(idx));
-            if !stolen <> None then Hashtbl.replace cursor cpu ((idx + 1) mod n)
+            stolen := Runqueue.pop_tail queues.(idx);
+            if !stolen <> None then cursor.(self) <- (idx + 1) mod n
           end;
           incr k
         done;

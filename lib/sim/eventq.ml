@@ -171,6 +171,9 @@ let cancel t (h : handle) =
   let slot = live_slot t h in
   if slot >= 0 && bget t.dead slot = 0 then begin
     bset t.dead slot 1;
+    (* The entry stays heaped until it reaches the root; its payload is
+       never run, so drop it now rather than keep it reachable. *)
+    Array.unsafe_set t.payloads slot unit_obj;
     t.cancelled_in_heap <- t.cancelled_in_heap + 1;
     (* [size] must never go negative: every cancelled entry is still heaped *)
     assert (t.cancelled_in_heap <= t.len)

@@ -1,4 +1,7 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words live in a 32-byte buffer read and
+   written with the unboxed 64-bit accessors: mutable [int64] record fields
+   would box a fresh int64 on every write, four per draw. *)
+type t = Bytes.t
 
 (* splitmix64, used to expand the seed into xoshiro state (reference
    initialization recommended by the xoshiro authors). *)
@@ -12,46 +15,53 @@ let splitmix64 state =
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline always] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step, inlined into every draw so the state words and
+   the result stay in registers. *)
+let[@inline always] step t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_ne t 8 (logxor s1 s2);
+  Bytes.set_int64_ne t 0 (logxor s0 s3);
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
+
+let bits64 t = step t
 
 let split t =
   (* Derive a child seed from the parent stream; the child is then expanded
      through splitmix64, which decorrelates it from the parent. *)
-  let seed = Int64.to_int (bits64 t) in
+  let seed = Int64.to_int (step t) in
   create ~seed
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy t = Bytes.copy t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.shift_right_logical (bits64 t) 1 in
+  let mask = Int64.shift_right_logical (step t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
 let uniform t =
   (* 53 random bits into [0, 1), the standard double construction. *)
-  let x = Int64.shift_right_logical (bits64 t) 11 in
+  let x = Int64.shift_right_logical (step t) 11 in
   Int64.to_float x *. (1.0 /. 9007199254740992.0)
 
 let float t bound = uniform t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
 let exponential t ~mean =
   let u = uniform t in

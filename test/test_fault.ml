@@ -412,6 +412,35 @@ let test_dispatcher_deadline_in_flight () =
       check int (name ^ ": no task alive") 0 app.App.tasks_alive)
     Runtime.[ Centralized; Hybrid ]
 
+(* ---- every runtime: a completed task leaves no deadline timer behind ---- *)
+
+(* The deadline kill is cancelled when the task exits, so a finished
+   request (and everything its closures hold) does not stay in the event
+   queue for the rest of its deadline: the live event count settles back
+   to what it was before the submit. *)
+let test_deadline_cancelled_on_exit () =
+  List.iter
+    (fun kind ->
+      let engine = Engine.create () in
+      let machine =
+        Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2)
+      in
+      let kmod = Kmod.create machine in
+      let rt = Runtime.create kind machine kmod ~cores:[ 0; 1 ] ~quantum:0 () in
+      let app = rt.Runtime.create_app ~name:"a" in
+      Engine.run ~until:(Time.us 100) engine;
+      let before = Engine.pending engine in
+      let completed = ref 0 in
+      ignore
+        (rt.Runtime.submit app ~name:"req" ~deadline:(Time.ms 25)
+           (Coro.Compute (Time.us 10, fun () -> incr completed; Coro.Exit)));
+      Engine.run ~until:(Time.us 300) engine;
+      let name = Runtime.name kind in
+      check int (name ^ ": completed") 1 !completed;
+      check int (name ^ ": pending back to the pre-submit count") before
+        (Engine.pending engine))
+    Runtime.kinds
+
 (* ---- allocator: graceful degradation and recovery ---- *)
 
 let test_allocator_degrades_and_recovers () =
@@ -524,6 +553,8 @@ let suite =
     test_case "centralized: deadline kill" `Quick test_centralized_deadline_kill;
     test_case "dispatcher kinds: deadline inside the assignment window" `Quick
       test_dispatcher_deadline_in_flight;
+    test_case "every runtime: deadline timer cancelled on exit" `Quick
+      test_deadline_cancelled_on_exit;
     test_case "allocator: degrade and recover" `Quick
       test_allocator_degrades_and_recovers;
     test_case "zero-service requests reconcile" `Quick

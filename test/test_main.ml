@@ -18,6 +18,7 @@ let () =
       ("fault", Test_fault.suite);
       ("obs", Test_obs.suite);
       ("determinism", Test_determinism.suite);
+      ("zero_alloc", Test_zero_alloc.suite);
       ("parallel", Test_parallel.suite);
       ("sync", Test_sync.suite);
       ("properties", Test_properties.suite);

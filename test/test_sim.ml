@@ -61,6 +61,41 @@ let test_rng_copy () =
     check Alcotest.int64 "copy same future" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* Known answers: the first outputs at seed 42 and those of its first
+   split child, pinned so a change of the state's representation cannot
+   shift the stream every experiment is seeded from. *)
+let test_rng_known_answers () =
+  let parent = Rng.create ~seed:42 in
+  let expect name rng values =
+    List.iteri
+      (fun i v -> check Alcotest.int64 (Printf.sprintf "%s[%d]" name i) v (Rng.bits64 rng))
+      values
+  in
+  expect "seed 42" parent
+    [
+      1546998764402558742L;
+      6990951692964543102L;
+      -5902157311460992607L;
+      -1389169964527427423L;
+      -151191095644234140L;
+      -4247557243643801032L;
+      -5178765164775350862L;
+      -2766855848391737209L;
+    ];
+  let child = Rng.split parent in
+  expect "split child" child
+    [
+      2315423597042293463L;
+      -2234526745998941065L;
+      1596337000078141156L;
+      6609098082684862032L;
+      -7224207047471401725L;
+      5046875657922709278L;
+      -2789533431143869261L;
+      -8379539855606018997L;
+    ];
+  expect "parent after split" parent [ -7685848651408622531L; -5857710645598733967L ]
+
 let test_rng_split_independent () =
   let a = Rng.create ~seed:3 in
   let child = Rng.split a in
@@ -257,6 +292,27 @@ let test_eventq_cancel () =
   check Alcotest.int "size skips cancelled" 1 (Eventq.size q);
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "skips dead"
     (Some (2, "alive")) (Eventq.pop q)
+
+(* A cancelled event stays heaped until it reaches the root, but its
+   payload is dropped at [cancel]: nothing the dead event referenced may
+   stay reachable from the queue in the meantime. *)
+let[@inline never] schedule_tracked q weak ~at =
+  let payload = Bytes.create 64 in
+  Weak.set weak 0 (Some payload);
+  Eventq.schedule q ~at payload
+
+let test_eventq_cancel_drops_payload () =
+  let q = Eventq.create () in
+  ignore (Eventq.schedule q ~at:1 (Bytes.create 8));
+  let weak = Weak.create 1 in
+  let h = schedule_tracked q weak ~at:100 in
+  Gc.full_major ();
+  check Alcotest.bool "live payload reachable" true (Weak.check weak 0);
+  Eventq.cancel q h;
+  Gc.full_major ();
+  check Alcotest.bool "cancelled payload collectable" false (Weak.check weak 0);
+  check Alcotest.int "still one live event" 1 (Eventq.size q);
+  Eventq.check_invariants q
 
 let test_eventq_peek () =
   let q = Eventq.create () in
@@ -699,6 +755,7 @@ let suite =
     Alcotest.test_case "rng: seeds diverge" `Quick test_rng_seed_matters;
     Alcotest.test_case "rng: copy" `Quick test_rng_copy;
     Alcotest.test_case "rng: split" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng: known answers" `Quick test_rng_known_answers;
     Alcotest.test_case "rng: exponential mean" `Slow test_rng_exponential_mean;
     Alcotest.test_case "rng: bad bound" `Quick test_rng_int_bad_bound;
     qtest prop_int_in_range;
@@ -718,6 +775,8 @@ let suite =
     Alcotest.test_case "eventq: ordering" `Quick test_eventq_ordering;
     Alcotest.test_case "eventq: FIFO ties" `Quick test_eventq_tie_fifo;
     Alcotest.test_case "eventq: cancel" `Quick test_eventq_cancel;
+    Alcotest.test_case "eventq: cancel drops the payload" `Quick
+      test_eventq_cancel_drops_payload;
     Alcotest.test_case "eventq: peek" `Quick test_eventq_peek;
     Alcotest.test_case "eventq: negative time" `Quick test_eventq_negative_time;
     Alcotest.test_case "eventq: size counter exact" `Quick
