@@ -137,7 +137,9 @@ let trace_dump_cmd =
       & info [ "limit" ] ~docv:"N"
           ~doc:"Print at most $(docv) event lines (0 = all).")
   in
-  let run path limit = ignore (E.Trace_dump.dump ~path ~limit) in
+  let run path limit =
+    match E.Trace_dump.run ~path ~limit with 0 -> () | code -> exit code
+  in
   Cmd.v
     (Cmd.info "trace-dump"
        ~doc:"Decode and verify a flight-recorder binary trace image")

@@ -77,13 +77,18 @@ type worker = {
   mutable kick_pending : bool;  (* percore mode: a kick is scheduled *)
   qtimer : Engine.timer;  (* reusable quantum timer, re-armed per dispatch *)
   mutable qt_gen : int;  (* [gen] at the last quantum arm *)
+  mutable pick_lc : unit -> Task.t option;
+      (* the worker's dequeue closures, built once at construction: the
+         policy's queue for this worker, the BE queue, and the percore
+         order ({!Rc.pick_local}) *)
+  mutable pick_be : unit -> Task.t option;
+  mutable pick_percore : unit -> Task.t option;
 }
 
 type t = {
   rc : Rc.t;
   dispatcher_core : int;
-  workers : worker array;
-  by_core : (int, worker) Hashtbl.t;
+  workers : worker array;  (* in unit-slot order: [workers.(ex.exec_slot)] *)
   mech : mechanism;
   quantum : Time.t;
   tick_period : Time.t;  (* percore timer period; 0 with the switch off *)
@@ -103,7 +108,7 @@ type t = {
 let check_period = Time.us 25
 
 let now t = Rc.now t.rc
-let worker_of t core = Hashtbl.find t.by_core core
+let worker_of t (ex : Rc.exec) = Array.unsafe_get t.workers ex.Rc.exec_slot
 let queue_length t = t.rc.Rc.probe.Sched_ops.queued ()
 
 (* The dispatcher is a serial resource; [f] runs when it has spent [cost]
@@ -171,15 +176,12 @@ and assign t w (task : Task.t) =
 and try_next t w =
   if (not w.reserved) && w.ex.Rc.current = None && not (Rc.unit_capped t.rc w.ex)
   then begin
-    match
-      Rc.next_live t.rc (fun () ->
-          t.rc.Rc.policy.task_dequeue ~cpu:w.ex.Rc.exec_core)
-    with
+    match Rc.next_live t.rc w.pick_lc with
     | Some task -> assign t w task
     | None ->
         (* BE work only on cores inside the allocator's current grant *)
         if Rc.be_occupancy t.rc < t.rc.Rc.be_allowance then (
-          match Rc.next_live t.rc (fun () -> Runqueue.pop_head t.rc.Rc.be_queue) with
+          match Rc.next_live t.rc w.pick_be with
           | Some be -> assign t w be
           | None -> ())
   end
@@ -190,20 +192,7 @@ and schedule t w ~prev =
   if (not w.reserved) && w.ex.Rc.current = None && not (Rc.unit_capped t.rc w.ex)
   then begin
     let rc = t.rc in
-    let pick () =
-      let be_next =
-        if Rc.be_occupancy rc < rc.Rc.be_allowance then
-          Runqueue.pop_head rc.Rc.be_queue
-        else None
-      in
-      match be_next with
-      | Some task -> Some task
-      | None -> (
-          match rc.Rc.policy.task_dequeue ~cpu:w.ex.Rc.exec_core with
-          | Some task -> Some task
-          | None -> rc.Rc.policy.sched_balance ~cpu:w.ex.Rc.exec_core)
-    in
-    match Rc.next_live rc pick with
+    match Rc.next_live rc w.pick_percore with
     | None -> ()
     | Some task ->
         let same = match prev with Some p -> p == task | None -> false in
@@ -350,9 +339,9 @@ let poke t =
   match t.mode with
   | Central -> pump t
   | Percore -> (
-      match Sched_ops.pick_idle (Rc.view t.rc) with
-      | Some core -> kick t (worker_of t core)
-      | None -> ())
+      match Sched_ops.first_idle (Rc.view t.rc) with
+      | -1 -> ()
+      | core -> kick t (worker_of t (Rc.unit_of t.rc core)))
 
 (* ---- the mode monitor and percore timer ticks ---------------------------- *)
 
@@ -521,6 +510,9 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
              kick_pending = false;
              qtimer = Engine.timer engine ignore;
              qt_gen = 0;
+             pick_lc = (fun () -> None);
+             pick_be = (fun () -> None);
+             pick_percore = (fun () -> None);
            })
          worker_cores)
   in
@@ -531,7 +523,6 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
           ~trace_app_switches:(tick_period > 0);
       dispatcher_core;
       workers;
-      by_core = Hashtbl.create 16;
       mech = mechanism;
       quantum;
       tick_period;
@@ -545,19 +536,23 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       failovers = 0;
     }
   in
-  Array.iter (fun w -> Hashtbl.replace t.by_core w.ex.Rc.exec_core w) workers;
-  Array.iter (fun w -> Engine.set_callback w.qtimer (fun () -> quantum_fire t w)) workers;
+  Array.iter
+    (fun w ->
+      Engine.set_callback w.qtimer (fun () -> quantum_fire t w);
+      w.pick_lc <- (fun () -> t.rc.Rc.policy.task_dequeue ~cpu:w.ex.Rc.exec_core);
+      w.pick_be <- (fun () -> Runqueue.pop_head t.rc.Rc.be_queue);
+      w.pick_percore <- (fun () -> Rc.pick_local t.rc w.ex))
+    workers;
   Rc.install_dispatch t.rc
     {
       Rc.d_units = Array.map (fun w -> w.ex) workers;
       d_enqueue_cpu = (fun _ -> t.dispatcher_core);
-      d_incoming_app = (fun ex -> (worker_of t ex.Rc.exec_core).incoming);
+      d_incoming_app = (fun ex -> (worker_of t ex).incoming);
       d_released =
         (fun ex ->
-          let w = worker_of t ex.Rc.exec_core in
+          let w = worker_of t ex in
           w.gen <- w.gen + 1);
-      d_reschedule =
-        (fun ex ~prev -> reschedule t (worker_of t ex.Rc.exec_core) ~prev);
+      d_reschedule = (fun ex ~prev -> reschedule t (worker_of t ex) ~prev);
     };
   Rc.install_policy t.rc ctor;
   Array.iter

@@ -48,8 +48,7 @@ type t = {
   name : string;  (* "Percpu", or "Worksteal" for the steal-half flavour *)
   rc : Rc.t;
   cores : int array;
-  cpus : cpu array;
-  by_core : (int, cpu) Hashtbl.t;
+  cpus : cpu array;  (* in unit-slot order: [cpus.(ex.exec_slot)] *)
   timer_hz : int;
   preemption : bool;
   park : (Time.t * Time.t) option;  (* (idle_after, resume_cost) *)
@@ -64,12 +63,11 @@ type t = {
 let now t = Rc.now t.rc
 
 let cpu_of t core =
-  match Hashtbl.find t.by_core core with
-  | cpu -> cpu
-  | exception Not_found ->
-      invalid_arg
-        (Printf.sprintf "%s: core %d is not managed by this runtime" t.name
-           core)
+  let slot = (Rc.unit_of t.rc core).Rc.exec_slot in
+  if slot < 0 then
+    invalid_arg
+      (Printf.sprintf "%s: core %d is not managed by this runtime" t.name core)
+  else Array.unsafe_get t.cpus slot
 
 let charge_steal t ~core cost =
   let cpu = cpu_of t core in
@@ -79,10 +77,7 @@ let steal_failed t ~core =
   let cpu = cpu_of t core in
   cpu.fail_streak <- cpu.fail_streak + 1
 
-let is_idle t ~core =
-  match Hashtbl.find_opt t.by_core core with
-  | Some cpu -> cpu.ex.Rc.current = None && not (Rc.unit_capped t.rc cpu.ex)
-  | None -> false
+let is_idle t ~core = Rc.is_idle t.rc core
 
 let view t = Rc.view t.rc
 
@@ -93,24 +88,6 @@ let park_now t cpu =
     cpu.parked <- true;
     t.parks <- t.parks + 1
   end
-
-(* What [cpu] runs next, before the killed-task filter.  Cores inside the
-   allocator's current BE grant belong to BE — they dispatch BE work ahead
-   of LC so a guaranteed core cannot be starved by LC backlog.  LC
-   congestion claws cores back through the allocator shrinking the
-   allowance, not by out-queueing BE here. *)
-let pick_next rc cpu =
-  let be_next =
-    if Rc.be_occupancy rc < rc.Rc.be_allowance then
-      Runqueue.pop_head rc.Rc.be_queue
-    else None
-  in
-  match be_next with
-  | Some task -> Some task
-  | None -> (
-      match rc.Rc.policy.task_dequeue ~cpu:cpu.ex.Rc.exec_core with
-      | Some task -> Some task
-      | None -> rc.Rc.policy.sched_balance ~cpu:cpu.ex.Rc.exec_core)
 
 let rec schedule t cpu ~prev =
   let rc = t.rc in
@@ -213,7 +190,7 @@ let kick_core t core = kick t (cpu_of t core)
 
 (* After enqueueing work, make sure some idle core will notice it. *)
 let kick_some_idle t =
-  match Sched_ops.pick_idle (view t) with Some core -> kick_core t core | None -> ()
+  match Sched_ops.first_idle (view t) with -1 -> () | core -> kick_core t core
 
 (* Evict whatever runs on a broker-capped core: receive cost, depose, then
    requeue on an allowed core's queue — never the capped core's own, since
@@ -384,7 +361,6 @@ let make ~name machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog ctor =
       rc = Rc.create machine kmod ~record_wakeups:true ~trace_app_switches:true;
       cores = cores_arr;
       cpus;
-      by_core = Hashtbl.create 64;
       timer_hz;
       preemption;
       park;
@@ -397,8 +373,7 @@ let make ~name machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog ctor =
   in
   Array.iter
     (fun cpu ->
-      Hashtbl.replace t.by_core cpu.ex.Rc.exec_core cpu;
-      cpu.pick <- (fun () -> pick_next t.rc cpu);
+      cpu.pick <- (fun () -> Rc.pick_local t.rc cpu.ex);
       Engine.set_callback cpu.kick_timer (fun () -> kick_fire t cpu))
     cpus;
   Rc.install_dispatch t.rc
@@ -407,8 +382,7 @@ let make ~name machine kmod ~cores ~timer_hz ~preemption ~park ~watchdog ctor =
       d_enqueue_cpu = (fun ex -> ex.Rc.exec_core);
       d_incoming_app = (fun _ -> -1);
       d_released = (fun _ -> ());
-      d_reschedule =
-        (fun ex ~prev -> schedule t (cpu_of t ex.Rc.exec_core) ~prev);
+      d_reschedule = (fun ex ~prev -> schedule t t.cpus.(ex.Rc.exec_slot) ~prev);
     };
   Rc.install_policy t.rc (ctor t);
   (* The daemon occupies every isolated core first (§4.1). *)
@@ -512,12 +486,12 @@ let allocator t = t.rc.Rc.allocator
 let be_preemptions t = t.rc.Rc.be_preempts
 
 let pick_spawn_cpu t =
-  match Sched_ops.pick_idle (view t) with
-  | Some core -> core
-  | None ->
+  match Sched_ops.first_idle (view t) with
+  | -1 ->
       let core = t.cores.(t.rr_spawn mod Array.length t.cores) in
       t.rr_spawn <- t.rr_spawn + 1;
       core
+  | core -> core
 
 (* ---- spawning, deadlines ------------------------------------------------- *)
 

@@ -1,53 +1,59 @@
-type node = { task : Task.t; mutable prev : node option; mutable next : node option }
+(* Intrusive doubly linked list threaded through the tasks themselves
+   ([Task.rq_prev]/[rq_next], [Task.nil] as the end marker), with
+   [Task.rq_owner] naming the queue a task sits in: a push or pop writes
+   a few fields and allocates nothing, and membership is one pointer
+   comparison. *)
+type t = Task.runq
 
-type t = {
-  mutable head : node option;
-  mutable tail : node option;
-  mutable len : int;
-  nodes : (int, node) Hashtbl.t;  (* task id -> node, for O(1) removal *)
-}
+let nil = Task.nil
+let create () = { Task.rq_head = nil; rq_tail = nil; rq_len = 0 }
+let length (t : t) = t.rq_len
+let is_empty (t : t) = t.rq_len = 0
 
-let create () = { head = None; tail = None; len = 0; nodes = Hashtbl.create 16 }
-let length t = t.len
-let is_empty t = t.len = 0
+let claim (t : t) (task : Task.t) =
+  if task.Task.rq_owner != Task.unqueued then
+    invalid_arg "Runqueue: task already queued";
+  task.Task.rq_owner <- t;
+  t.rq_len <- t.rq_len + 1
 
-let push_tail t task =
-  if Hashtbl.mem t.nodes task.Task.id then invalid_arg "Runqueue: task already queued";
-  let node = { task; prev = t.tail; next = None } in
-  (match t.tail with Some old -> old.next <- Some node | None -> t.head <- Some node);
-  t.tail <- Some node;
-  t.len <- t.len + 1;
-  Hashtbl.replace t.nodes task.Task.id node
+let push_tail (t : t) task =
+  claim t task;
+  let old = t.rq_tail in
+  task.Task.rq_prev <- old;
+  if old == nil then t.rq_head <- task else old.Task.rq_next <- task;
+  t.rq_tail <- task
 
-let push_head t task =
-  if Hashtbl.mem t.nodes task.Task.id then invalid_arg "Runqueue: task already queued";
-  let node = { task; prev = None; next = t.head } in
-  (match t.head with Some old -> old.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node;
-  t.len <- t.len + 1;
-  Hashtbl.replace t.nodes task.Task.id node
+let push_head (t : t) task =
+  claim t task;
+  let old = t.rq_head in
+  task.Task.rq_next <- old;
+  if old == nil then t.rq_tail <- task else old.Task.rq_prev <- task;
+  t.rq_head <- task
 
-let unlink t node =
-  (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
-  (match node.next with Some n -> n.prev <- node.prev | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None;
-  t.len <- t.len - 1;
-  Hashtbl.remove t.nodes node.task.Task.id
+let unlink (t : t) (task : Task.t) =
+  let prev = task.Task.rq_prev and next = task.Task.rq_next in
+  if prev == nil then t.rq_head <- next else prev.Task.rq_next <- next;
+  if next == nil then t.rq_tail <- prev else next.Task.rq_prev <- prev;
+  task.Task.rq_prev <- nil;
+  task.Task.rq_next <- nil;
+  task.Task.rq_owner <- Task.unqueued;
+  t.rq_len <- t.rq_len - 1
 
-let pop_head t =
-  match t.head with
-  | None -> None
-  | Some node ->
-      unlink t node;
-      Some node.task
+let pop_head (t : t) =
+  let task = t.rq_head in
+  if task == nil then None
+  else begin
+    unlink t task;
+    Some task
+  end
 
-let pop_tail t =
-  match t.tail with
-  | None -> None
-  | Some node ->
-      unlink t node;
-      Some node.task
+let pop_tail (t : t) =
+  let task = t.rq_tail in
+  if task == nil then None
+  else begin
+    unlink t task;
+    Some task
+  end
 
 let pop_tail_n t n =
   let rec go n acc =
@@ -59,39 +65,39 @@ let pop_tail_n t n =
   in
   go n []
 
-let steal_half ~from ~into =
+let steal_half ~(from : t) ~(into : t) =
   (* Under owner-head LIFO the oldest tasks sit at the tail; moving them
      tail-first and appending at [into]'s tail keeps them oldest-first at
      [into]'s head, so the thief's pop_head runs them in arrival order. *)
-  let want = (from.len + 1) / 2 in
-  let moved = ref 0 in
-  List.iter
-    (fun task ->
-      push_tail into task;
-      incr moved)
-    (pop_tail_n from want);
-  !moved
+  let want = (from.rq_len + 1) / 2 in
+  for _ = 1 to want do
+    let task = from.rq_tail in
+    unlink from task;
+    push_tail into task
+  done;
+  want
 
-let peek_head t = match t.head with None -> None | Some node -> Some node.task
+let peek_head (t : t) = if t.rq_head == nil then None else Some t.rq_head
 
-let remove t task =
-  match Hashtbl.find_opt t.nodes task.Task.id with
-  | None -> false
-  | Some node ->
-      unlink t node;
-      true
+let remove (t : t) (task : Task.t) =
+  if task.Task.rq_owner == t then begin
+    unlink t task;
+    true
+  end
+  else false
 
-let iter f t =
-  let rec go = function
-    | None -> ()
-    | Some node ->
-        let next = node.next in
-        f node.task;
-        go next
+let iter f (t : t) =
+  let rec go (task : Task.t) =
+    if task != nil then begin
+      let next = task.Task.rq_next in
+      f task;
+      go next
+    end
   in
-  go t.head
+  go t.rq_head
 
-let to_list t =
-  let acc = ref [] in
-  iter (fun task -> acc := task :: !acc) t;
-  List.rev !acc
+let to_list (t : t) =
+  let rec go (task : Task.t) acc =
+    if task == nil then acc else go task.Task.rq_prev (task :: acc)
+  in
+  go t.rq_tail []

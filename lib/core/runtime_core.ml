@@ -65,6 +65,22 @@ let null_dispatch =
     d_reschedule = (fun _ ~prev:_ -> ());
   }
 
+let make_exec core =
+  {
+    exec_core = core;
+    exec_slot = -1;
+    current = None;
+    completion = Eventq.null;
+    completion_fire = ignore;
+    busy_from = 0;
+    active_app = 0;
+    stolen_until = 0;
+  }
+
+(* What the core index holds for ids this runtime does not manage.  Never
+   handed out or mutated. *)
+let no_exec = make_exec (-1)
+
 type t = {
   machine : Machine.t;
   engine : Engine.t;
@@ -95,10 +111,32 @@ type t = {
   mutable deadline_drops : int;
   mutable trace : Trace.t option;
   mutable dispatch : dispatch;
+  mutable by_core : exec array;
+      (* core id -> its unit ([no_exec] for unmanaged ids), built with the
+         dispatch record: idle probes and core lookups are one array read *)
+  mutable view : Sched_ops.view;  (* built once, by [install_policy] *)
+  mutable record_exit : (Task.t -> unit) option;
+      (* the one exit hook of every recorded task (see [admit]) *)
   mutable next_app_id : int;  (* per-run id allocators: ids used to come *)
   mutable next_task_id : int;  (* from process-wide counters, which made
                                   concurrent runs perturb each other *)
 }
+
+(* The exit hook of a recorded task: the request's summary entry and its
+   latency-attribution row (queueing + service + overhead + stall =
+   response, exact in integer ns) go into the owning application.  One
+   hook per runtime, shared by every recorded task, so admission builds
+   no closure.  Zero-service completions count too: omitting them broke
+   the submitted = completed + gave-up + drops reconciliation for
+   degenerate workloads. *)
+let record_request t (task : Task.t) =
+  let app : App.t = Hashtbl.find t.by_id task.Task.app in
+  let now = Engine.now t.engine in
+  Summary.record_request app.App.summary ~arrival:task.Task.arrival
+    ~completion:now ~service:task.Task.service;
+  Attribution.record app.App.attribution ~queueing:task.Task.obs_queued_ns
+    ~overhead:task.Task.obs_overhead_ns ~stall:task.Task.obs_stall_ns
+    ~response:(now - task.Task.obs_start) ~declared:task.Task.service
 
 let create machine kmod ~record_wakeups ~trace_app_switches =
   let t =
@@ -129,26 +167,18 @@ let create machine kmod ~record_wakeups ~trace_app_switches =
       deadline_drops = 0;
       trace = None;
       dispatch = null_dispatch;
+      by_core = [||];
+      view = { Sched_ops.cores = [||]; is_idle = (fun _ -> false); now = (fun () -> 0) };
+      record_exit = None;
       next_app_id = 1;  (* id 0 is the daemon *)
       next_task_id = 1;
     }
   in
   Hashtbl.replace t.by_id t.daemon.App.id t.daemon;
+  t.record_exit <- Some (record_request t);
   t
 
 let now t = Engine.now t.engine
-
-let make_exec core =
-  {
-    exec_core = core;
-    exec_slot = -1;
-    current = None;
-    completion = Eventq.null;
-    completion_fire = ignore;
-    busy_from = 0;
-    active_app = 0;
-    stolen_until = 0;
-  }
 
 (* Broker gate: a unit whose slot falls beyond the core allowance may not
    run anything (its core belongs to another tenant right now).  Allowed
@@ -157,26 +187,33 @@ let make_exec core =
 let unit_capped t ex = ex.exec_slot >= t.core_allowance
 let set_core_allowance t n = t.core_allowance <- max 0 n
 
-(* The runtime view handed to policy constructors: derived entirely from
-   the DISPATCH units, so it is identical across runtimes. *)
-let view t =
-  {
-    Sched_ops.cores = Array.map (fun ex -> ex.exec_core) t.dispatch.d_units;
-    is_idle =
-      (fun core ->
-        Array.exists
-          (fun ex ->
-            ex.exec_core = core && ex.current = None && not (unit_capped t ex))
-          t.dispatch.d_units);
-    now = (fun () -> now t);
-  }
+let unit_of t core =
+  if core >= 0 && core < Array.length t.by_core then
+    Array.unsafe_get t.by_core core
+  else no_exec
 
+let is_idle t core =
+  let ex = unit_of t core in
+  ex != no_exec && ex.current = None && not (unit_capped t ex)
+
+let view t = t.view
+
+(* The runtime view handed to the policy constructor and used by the
+   runtime's own idle-core searches: derived entirely from the DISPATCH
+   units, so it is identical across runtimes.  Built once; [is_idle]
+   reads the live unit state through the core index. *)
 let install_policy t ctor =
+  t.view <-
+    {
+      Sched_ops.cores = Array.map (fun ex -> ex.exec_core) t.dispatch.d_units;
+      is_idle = (fun core -> is_idle t core);
+      now = (fun () -> now t);
+    };
   let policy, probe =
     Sched_ops.instrument
       ~now:(fun () -> now t)
       ~on_change:(fun n -> Timeseries.record t.queue_depth ~at:(now t) n)
-      (ctor (view t))
+      (ctor t.view)
   in
   t.policy <- policy;
   t.probe <- probe
@@ -264,6 +301,12 @@ let app_switch t ex (task : Task.t) =
 
 (* ---- the shared task lifecycle ------------------------------------------- *)
 
+(* [Some task] for the task on the unit, reusing the block [ex.current]
+   already holds (it is the unit's task on every lifecycle path) rather
+   than allocating one per reschedule. *)
+let held ex (task : Task.t) =
+  match ex.current with Some cur as held when cur == task -> held | _ -> Some task
+
 let rec process t ex (task : Task.t) =
   match task.body with
   | Coro.Compute (d, k) ->
@@ -273,6 +316,7 @@ let rec process t ex (task : Task.t) =
   | Coro.Yield _ ->
       (* continuation evaluated at the next dispatch (resume time) *)
       task.state <- Task.Runnable;
+      let prev = held ex task in
       account t ex;
       release t ex;
       task.obs_enq_at <- now t;
@@ -281,7 +325,7 @@ let rec process t ex (task : Task.t) =
         t.policy.task_enqueue
           ~cpu:(t.dispatch.d_enqueue_cpu ex)
           ~reason:Sched_ops.Enq_yielded task;
-      t.dispatch.d_reschedule ex ~prev:(Some task)
+      t.dispatch.d_reschedule ex ~prev
   | Coro.Block k ->
       if task.pending_wake then begin
         task.pending_wake <- false;
@@ -291,16 +335,18 @@ let rec process t ex (task : Task.t) =
       else begin
         task.body <- Coro.Block k;
         task.state <- Task.Blocked;
+        let prev = held ex task in
         account t ex;
         release t ex;
         task.obs_block_at <- now t;
         t.policy.task_block ~cpu:ex.exec_core task;
-        t.dispatch.d_reschedule ex ~prev:(Some task)
+        t.dispatch.d_reschedule ex ~prev
       end
   | Coro.Exit ->
       task.state <- Task.Exited;
       Engine.cancel t.engine task.deadline_timer;
       task.deadline_timer <- Eventq.null;
+      let prev = held ex task in
       account t ex;
       release t ex;
       let app = find_app t task.app in
@@ -308,7 +354,7 @@ let rec process t ex (task : Task.t) =
       app.App.tasks_alive <- app.App.tasks_alive - 1;
       t.policy.task_terminate task;
       (match task.on_exit with Some f -> f task | None -> ());
-      t.dispatch.d_reschedule ex ~prev:(Some task)
+      t.dispatch.d_reschedule ex ~prev
 
 and on_complete t ex (task : Task.t) =
   ex.completion <- Eventq.null;
@@ -321,9 +367,12 @@ and on_complete t ex (task : Task.t) =
    the task off the unit (depose, kill, steal-freeze) cancels it first. *)
 let install_dispatch t d =
   t.dispatch <- d;
+  let size = Array.fold_left (fun m ex -> max m (ex.exec_core + 1)) 0 d.d_units in
+  t.by_core <- Array.make size no_exec;
   Array.iteri
     (fun i ex ->
       ex.exec_slot <- i;
+      t.by_core.(ex.exec_core) <- ex;
       ex.completion_fire <-
         (fun () ->
           ex.completion <- Eventq.null;
@@ -398,6 +447,24 @@ let depose t ex ~overhead =
       Some task
   | _ -> None
 
+(* What a self-scheduling unit (per-CPU, or the hybrid's percore mode)
+   runs next, before the killed-task filter.  Units inside the
+   allocator's current BE grant belong to BE — they dispatch BE work ahead
+   of LC so a guaranteed core cannot be starved by LC backlog.  LC
+   congestion claws cores back through the allocator shrinking the
+   allowance, not by out-queueing BE here. *)
+let pick_local t ex =
+  let be_next =
+    if be_occupancy t < t.be_allowance then Runqueue.pop_head t.be_queue
+    else None
+  in
+  match be_next with
+  | Some task -> Some task
+  | None -> (
+      match t.policy.task_dequeue ~cpu:ex.exec_core with
+      | Some task -> Some task
+      | None -> t.policy.sched_balance ~cpu:ex.exec_core)
+
 (* Dequeue-side filter: tasks killed at their deadline while queued are
    discarded here instead of being hunted down inside the policy's
    runqueues (the drop was accounted at kill time). *)
@@ -445,13 +512,11 @@ let kill t ?on_drop (task : Task.t) =
     match task.Task.state with
     | Task.Exited -> ()
     | Task.Running -> (
-        match
-          Array.find_opt
-            (fun ex ->
-              match ex.current with Some cur -> cur == task | None -> false)
-            t.dispatch.d_units
-        with
-        | Some ex ->
+        (* A running task's last_core is its unit's core (begin_run sets
+           both). *)
+        let ex = unit_of t task.Task.last_core in
+        match ex.current with
+        | Some cur when cur == task ->
             Engine.cancel t.engine ex.completion;
             ex.completion <- Eventq.null;
             task.Task.killed <- true;
@@ -461,7 +526,7 @@ let kill t ?on_drop (task : Task.t) =
             t.policy.task_terminate task;
             deadline_expired t task ~on_drop;
             t.dispatch.d_reschedule ex ~prev:(Some task)
-        | None -> ())
+        | Some _ | None -> ())
     | Task.Runnable ->
         (* Somewhere in a runqueue: account the drop now, discard lazily at
            the next dequeue (see [next_live]). *)
@@ -482,31 +547,14 @@ let arm_deadline t ?on_drop (task : Task.t) ~deadline ~who =
 
 (* ---- task admission ------------------------------------------------------- *)
 
-(* Create a task with the attribution-recording exit hook: on completion
-   the request's summary entry and its latency-attribution row (queueing +
-   service + overhead + stall = response, exact in integer ns) are written
-   into the owning application. *)
+(* Create a task with the attribution-recording exit hook ([record_exit])
+   when [record].  Arrival and service are stored after creation so the
+   call passes no optional-argument boxes. *)
 let admit t (app : App.t) ~name ~arrival ~service ~record body =
-  let on_exit =
-    if record then
-      Some
-        (fun (task : Task.t) ->
-          (* Zero-service completions count too: omitting them broke the
-             submitted = completed + gave-up + drops reconciliation for
-             degenerate workloads. *)
-          Summary.record_request app.App.summary ~arrival:task.Task.arrival
-            ~completion:(now t) ~service:task.Task.service;
-          Attribution.record app.App.attribution
-            ~queueing:task.Task.obs_queued_ns
-            ~overhead:task.Task.obs_overhead_ns ~stall:task.Task.obs_stall_ns
-            ~response:(now t - task.Task.obs_start)
-            ~declared:task.Task.service)
-    else None
-  in
-  let task =
-    Task.create ~id:(fresh_task_id t) ~app:app.App.id ~name ~arrival ~service
-      ?on_exit body
-  in
+  let on_exit = if record then t.record_exit else None in
+  let task = Task.create ~id:(fresh_task_id t) ~app:app.App.id ~name ?on_exit body in
+  task.Task.arrival <- arrival;
+  task.Task.service <- service;
   task.Task.obs_start <- now t;
   task.Task.obs_enq_at <- now t;
   app.App.spawned <- app.App.spawned + 1;

@@ -91,6 +91,13 @@ type t = {
   mutable deadline_drops : int;
   mutable trace : Trace.t option;
   mutable dispatch : dispatch;
+  mutable by_core : exec array;
+      (** core id -> its unit, built by {!install_dispatch}; ids the
+          runtime does not manage map to a placeholder (see {!unit_of}) *)
+  mutable view : Sched_ops.view;  (** built once by {!install_policy} *)
+  mutable record_exit : (Task.t -> unit) option;
+      (** the exit hook {!admit} gives every recorded task: one per
+          runtime, so admission builds no closure *)
   mutable next_app_id : int;
       (** per-run app-id allocator (1, 2, ...; the daemon is 0).  Ids used
           to come from a process-wide counter, which made simulations in
@@ -110,8 +117,16 @@ val now : t -> Time.t
 val make_exec : int -> exec
 
 val install_dispatch : t -> dispatch -> unit
-(** Install the substrate; numbers the unit slots and resets the BE
-    allowance to the unit count. *)
+(** Install the substrate; numbers the unit slots, builds the core ->
+    unit index and resets the BE allowance to the unit count. *)
+
+val unit_of : t -> int -> exec
+(** The unit running on a core, in O(1).  For a core id this runtime does
+    not manage it returns a placeholder whose [exec_slot] is [-1]. *)
+
+val is_idle : t -> int -> bool
+(** O(1): the core is managed, runs nothing ([current = None]) and is not
+    {!unit_capped}. *)
 
 val unit_capped : t -> exec -> bool
 (** Whether the broker gate forbids this unit from running anything: its
@@ -124,12 +139,13 @@ val set_core_allowance : t -> int -> unit
     tasks already running on newly capped units is the runtime's job. *)
 
 val view : t -> Sched_ops.view
-(** The runtime view handed to policy constructors, derived entirely from
-    the DISPATCH units (requires {!install_dispatch} first). *)
+(** The view built by {!install_policy} (the same record every call):
+    the unit cores in slot order, {!is_idle} and the engine clock. *)
 
 val install_policy : t -> Sched_ops.ctor -> unit
-(** Instrument the policy with the congestion probe and the queue-depth
-    series, then install it. *)
+(** Build the runtime view once (requires {!install_dispatch} first),
+    hand it to the constructor, instrument the policy with the congestion
+    probe and the queue-depth series, then install it. *)
 
 (** {1 Applications and kthreads} *)
 
@@ -181,6 +197,11 @@ val depose : t -> exec -> overhead:Time.t -> Task.t option
     receiver-side [overhead] to it.  Returns the deposed task; the caller
     requeues it and reschedules the unit.  [None] if the unit is not
     mid-segment. *)
+
+val pick_local : t -> exec -> Task.t option
+(** What a self-scheduling unit (per-CPU, or the hybrid's percore mode)
+    takes next: BE work while BE is inside its allowance, else the
+    policy's queue for the unit's core, else the policy's balance. *)
 
 val next_live : t -> (unit -> Task.t option) -> Task.t option
 (** Dequeue through [pick], lazily discarding tasks killed while queued. *)

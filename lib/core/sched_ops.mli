@@ -19,9 +19,15 @@ module Time = Skyloft_sim.Time
 
 type view = {
   cores : int array;  (** worker core ids managed by this scheduler *)
-  is_idle : int -> bool;  (** is this core currently running nothing? *)
+  is_idle : int -> bool;
+      (** is this core currently running nothing (and allowed to run
+          something)?  O(1); [false] for cores outside [cores] *)
   now : unit -> Time.t;
 }
+(** The runtime builds its view once, when the policy is installed
+    ({!Runtime_core.install_policy}), and hands the same record to the
+    policy and to its own idle-core searches; [is_idle] reads live unit
+    state, so the view never goes stale. *)
 
 (** Why a task is entering the runqueue: policies commonly place preempted
     tasks differently from fresh or woken ones. *)
@@ -80,8 +86,12 @@ val instrument :
     (the runtimes record it into a queue-depth {!Skyloft_stats.Timeseries});
     it must not re-enter the policy. *)
 
+val first_idle : view -> int
+(** First idle managed core in [cores] order, [-1] if none.  One
+    O(1) [is_idle] probe per core and no allocation. *)
+
 val pick_idle : view -> int option
-(** First idle managed core, if any. *)
+(** First idle managed core in [cores] order, if any. *)
 
 val wakeup_to_idle_or : view -> fallback:int -> int
 (** Default wakeup placement: an idle core when available, otherwise

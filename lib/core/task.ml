@@ -32,7 +32,51 @@ type t = {
   mutable obs_queued_ns : int;
   mutable obs_overhead_ns : int;
   mutable obs_stall_ns : int;
+  mutable rq_prev : t;
+  mutable rq_next : t;
+  mutable rq_owner : runq;
 }
+
+and runq = { mutable rq_head : t; mutable rq_tail : t; mutable rq_len : int }
+
+(* The link sentinel and the "in no queue" owner: every unlinked task
+   points at these, so the links are plain fields with no option box. *)
+let rec nil =
+  {
+    id = -1;
+    app = -1;
+    name = "";
+    state = Exited;
+    body = Coro.Exit;
+    cont = (fun () -> Coro.Exit);
+    segment_end = 0;
+    last_core = -1;
+    run_start = 0;
+    wake_time = None;
+    pending_wake = false;
+    resuming = false;
+    track_wakeup = false;
+    enqueue_time = 0;
+    policy_f1 = 0.0;
+    policy_f2 = 0.0;
+    policy_i = 0;
+    arrival = 0;
+    service = 0;
+    on_exit = None;
+    killed = false;
+    deadline_timer = Skyloft_sim.Eventq.null;
+    obs_start = 0;
+    obs_enq_at = 0;
+    obs_block_at = 0;
+    obs_queued_ns = 0;
+    obs_overhead_ns = 0;
+    obs_stall_ns = 0;
+    rq_prev = nil;
+    rq_next = nil;
+    rq_owner = unqueued;
+  }
+
+and unqueued = { rq_head = nil; rq_tail = nil; rq_len = 0 }
 
 let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
   {
@@ -64,6 +108,9 @@ let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
     obs_queued_ns = 0;
     obs_overhead_ns = 0;
     obs_stall_ns = 0;
+    rq_prev = nil;
+    rq_next = nil;
+    rq_owner = unqueued;
   }
 
 let is_runnable t = match t.state with Runnable | Running -> true | Blocked | Exited -> false

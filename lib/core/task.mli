@@ -63,7 +63,24 @@ type t = {
   mutable obs_stall_ns : int;
       (** accumulated fault stall: blocked time plus host-kernel core
           steals that froze the running segment *)
+  mutable rq_prev : t;
+  mutable rq_next : t;
+      (** intrusive {!Runqueue} links, {!nil} when not queued; owned by
+          {!Runqueue}, never written elsewhere *)
+  mutable rq_owner : runq;
+      (** the queue the task sits in, {!unqueued} when none: a task is in
+          at most one queue at a time *)
 }
+
+(** A run queue's header (presented abstractly as {!Runqueue.t}). *)
+and runq = { mutable rq_head : t; mutable rq_tail : t; mutable rq_len : int }
+
+val nil : t
+(** The link sentinel: the [rq_prev]/[rq_next] of an unlinked task and the
+    head/tail of an empty queue.  Never scheduled. *)
+
+val unqueued : runq
+(** The [rq_owner] of a task that sits in no queue. *)
 
 val create :
   id:int -> app:int -> name:string -> ?arrival:Time.t -> ?service:Time.t ->

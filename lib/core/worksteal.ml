@@ -47,12 +47,19 @@ type t = { pc : Percpu.t; c : counters }
 let steal_ctor c quantum pc : Sched_ops.ctor =
  fun view ->
   let n = Array.length view.cores in
-  let index = Hashtbl.create 32 in
-  Array.iteri (fun i core -> Hashtbl.replace index core i) view.cores;
+  (* Core id -> position in [view.cores] (-1 if unmanaged), indexing the
+     per-position deques and steal cursors: the same idiom as
+     [Skyloft_policies.Work_stealing]. *)
+  let pos = Array.make (1 + Array.fold_left max (-1) view.cores) (-1) in
+  Array.iteri (fun i core -> pos.(core) <- i) view.cores;
+  let pos_of cpu = if cpu >= 0 && cpu < Array.length pos then pos.(cpu) else -1 in
   let deques = Array.init n (fun _ -> Runqueue.create ()) in
   let cursors = Array.make n (-1) in
   let wake_rr = ref 0 in  (* rotating fallback for unmanaged wakers *)
-  let q core = deques.(Hashtbl.find index core) in
+  let q cpu =
+    let i = pos_of cpu in
+    if i < 0 then invalid_arg "worksteal: unmanaged cpu" else deques.(i)
+  in
   {
     Sched_ops.policy_name =
       (match quantum with Some _ -> "worksteal-preemptive" | None -> "worksteal");
@@ -69,7 +76,7 @@ let steal_ctor c quantum pc : Sched_ops.ctor =
     task_wakeup =
       (fun ~waker_cpu task ->
         let target =
-          if Hashtbl.mem index waker_cpu then waker_cpu
+          if pos_of waker_cpu >= 0 then waker_cpu
           else begin
             let fallback = view.cores.(!wake_rr mod n) in
             wake_rr := (!wake_rr + 1) mod n;
@@ -87,7 +94,8 @@ let steal_ctor c quantum pc : Sched_ops.ctor =
             && view.now () - task.Task.run_start >= quantum);
     sched_balance =
       (fun ~cpu ->
-        let self = Hashtbl.find index cpu in
+        let self = pos_of cpu in
+        if self < 0 then invalid_arg "worksteal: unmanaged cpu";
         let own = deques.(self) in
         let start = if cursors.(self) >= 0 then cursors.(self) else (self + 1) mod n in
         let stolen = ref None in

@@ -11,7 +11,11 @@ module Trace_analysis = Skyloft_obs.Trace_analysis
     dump doubles as an offline verifier: a corrupt or ill-formed image
     exits nonzero.  [--limit] bounds the event lines (0 = all). *)
 
-let fail fmt = Printf.ksprintf failwith fmt
+(* An unreadable or corrupt image, or one that breaks an invariant: the
+   message is one line, with no prefix of the command's own. *)
+exception Error of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
 (* All 22 kinds, in wire order, so the census is exhaustive and stable. *)
 let all_kinds =
@@ -51,10 +55,7 @@ let census trace =
 
 let dump ~path ~limit =
   let trace =
-    try Trace.read_binary ~path
-    with
-    | Sys_error e -> fail "trace-dump: %s" e
-    | Invalid_argument e -> fail "trace-dump: %s" e
+    try Trace.read_binary ~path with Sys_error e | Invalid_argument e -> fail "%s" e
   in
   Printf.printf "flight recorder image: %s\n" path;
   Printf.printf "  retained  %d events\n" (Trace.events trace);
@@ -86,7 +87,17 @@ let dump ~path ~limit =
     Printf.printf "... (%d more; --limit 0 shows all)\n"
       (Trace.events trace - limit);
   if structural <> [] || machine <> [] then
-    fail "trace-dump: %d invariant violations in %s"
+    fail "%d invariant violations in %s"
       (List.length structural + List.length machine)
       path;
   trace
+
+(* The command: 0 on a clean image; otherwise the error on one stderr
+   line and 1. *)
+let run ~path ~limit =
+  match dump ~path ~limit with
+  | _ -> 0
+  | exception Error m ->
+      flush stdout;
+      prerr_endline ("trace-dump: " ^ m);
+      1

@@ -108,11 +108,11 @@ let arm t target plans =
         else
           let l = active_loss ~at:(now t) ipi_plans in
           if l == no_loss then Machine.Deliver
-          else if l.Plan.p_drop > 0.0 && Rng.uniform t.rng < l.Plan.p_drop then begin
+          else if l.Plan.p_drop > 0.0 && Rng.bernoulli t.rng l.Plan.p_drop then begin
             record t ~kind:"ipi-drop" ~core;
             Machine.Drop
           end
-          else if l.Plan.p_delay > 0.0 && Rng.uniform t.rng < l.Plan.p_delay
+          else if l.Plan.p_delay > 0.0 && Rng.bernoulli t.rng l.Plan.p_delay
           then begin
             record t ~kind:"ipi-delay" ~core;
             Machine.Delay l.Plan.delay
@@ -139,7 +139,7 @@ let arm t target plans =
            List.exists
              (fun (w, p_drop) ->
                Plan.active w ~at:(now t)
-               && Rng.uniform t.rng < p_drop
+               && Rng.bernoulli t.rng p_drop
                &&
                (record t ~kind:"pkt-drop" ~core:(-1);
                 true))

@@ -21,7 +21,7 @@ let sample t rng =
   | Uniform { lo; hi } ->
       if hi <= lo then clamp lo else clamp (lo + Rng.int rng (hi - lo))
   | Bimodal { p_short; short; long } ->
-      if Rng.uniform rng < p_short then clamp short else clamp long
+      if Rng.bernoulli rng p_short then clamp short else clamp long
   | Lognormal { mu; sigma } ->
       clamp (int_of_float (exp (mu +. (sigma *. normal rng))))
   | Pareto { scale; alpha; cap } ->

@@ -60,6 +60,12 @@ let uniform t =
   let x = Int64.shift_right_logical (step t) 11 in
   Int64.to_float x *. (1.0 /. 9007199254740992.0)
 
+(* [uniform t < p] from the same single step, compared here so the float
+   never leaves the function boxed. *)
+let bernoulli t p =
+  let x = Int64.shift_right_logical (step t) 11 in
+  Int64.to_float x *. (1.0 /. 9007199254740992.0) < p
+
 let float t bound = uniform t *. bound
 let bool t = Int64.logand (step t) 1L = 1L
 

@@ -31,6 +31,12 @@ val float : t -> float -> float
 val uniform : t -> float
 (** [uniform t] is uniform in [\[0, 1)]. *)
 
+val bernoulli : t -> float -> bool
+(** [bernoulli t p] is [uniform t < p] — [true] with probability [p] —
+    drawn from the same single step, so the stream is the same as with
+    [uniform]; it allocates nothing where [uniform] returns a boxed
+    float. *)
+
 val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Draw from an exponential distribution with the given mean. *)

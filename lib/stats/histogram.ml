@@ -3,13 +3,19 @@ module Time = Skyloft_sim.Time
 type t = {
   sub : int;  (* sub-buckets per power-of-two range; power of two *)
   k : int;  (* log2 sub *)
-  counts : int array;
+  rows : int array array;
+      (* one row of [sub] counts per power-of-two group, allocated the
+         first time a value lands in the group ([absent] until then): a
+         latency histogram touches a dozen of its 59 groups, and one that
+         is never recorded — a daemon's, an idle tenant's — costs 60
+         words instead of 30 KB *)
   mutable n : int;
   mutable min_v : int;
   mutable max_v : int;
 }
 
 let is_power_of_two x = x > 0 && x land (x - 1) = 0
+let absent : int array = [||]
 
 let create ?(sub_buckets = 64) () =
   if not (is_power_of_two sub_buckets) then
@@ -24,7 +30,7 @@ let create ?(sub_buckets = 64) () =
   {
     sub = sub_buckets;
     k;
-    counts = Array.make ((groups + 1) * sub_buckets) 0;
+    rows = Array.make (groups + 1) absent;
     n = 0;
     min_v = max_int;
     max_v = 0;
@@ -59,11 +65,25 @@ let bucket_mid t i =
     float_of_int (lower + bucket_upper t i) /. 2.0
   end
 
+(* Add [n] to bucket [i], allocating its group's row on first use. *)
+let add t i n =
+  let g = i lsr t.k and s = i land (t.sub - 1) in
+  let row = t.rows.(g) in
+  let row =
+    if row != absent then row
+    else begin
+      let row = Array.make t.sub 0 in
+      t.rows.(g) <- row;
+      row
+    end
+  in
+  row.(s) <- row.(s) + n
+
 let record_n t v ~n =
   if v < 0 then invalid_arg "Histogram.record: negative value";
   if n < 0 then invalid_arg "Histogram.record_n: negative count";
   if n > 0 then begin
-    t.counts.(index t v) <- t.counts.(index t v) + n;
+    add t (index t v) n;
     t.n <- t.n + n;
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
@@ -75,10 +95,17 @@ let is_empty t = t.n = 0
 let min_value t = if t.n = 0 then 0 else t.min_v
 let max_value t = t.max_v
 
+(* [f i c] for every bucket index [i] in increasing order whose count
+   [c] is positive; groups never recorded into hold none. *)
+let iter_counts t f =
+  Array.iteri
+    (fun g row ->
+      Array.iteri (fun s c -> if c > 0 then f ((g * t.sub) + s) c) row)
+    t.rows
+
 let total t =
   let acc = ref 0.0 in
-  Array.iteri (fun i c -> if c > 0 then acc := !acc +. (float_of_int c *. bucket_mid t i))
-    t.counts;
+  iter_counts t (fun i c -> acc := !acc +. (float_of_int c *. bucket_mid t i));
   !acc
 
 let mean t = if t.n = 0 then 0.0 else total t /. float_of_int t.n
@@ -93,22 +120,20 @@ let percentile t p =
     in
     let seen = ref 0 and result = ref t.max_v and found = ref false in
     (try
-       Array.iteri
-         (fun i c ->
+       iter_counts t (fun i c ->
            seen := !seen + c;
            if (not !found) && !seen >= target then begin
              result := min (bucket_upper t i) t.max_v;
              found := true;
              raise Exit
            end)
-         t.counts
      with Exit -> ());
     !result
   end
 
 let merge_into ~src ~dst =
   if src.sub <> dst.sub then invalid_arg "Histogram.merge_into: mismatched sub_buckets";
-  Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+  iter_counts src (fun i c -> add dst i c);
   dst.n <- dst.n + src.n;
   if src.n > 0 then begin
     if src.min_v < dst.min_v then dst.min_v <- src.min_v;
@@ -116,7 +141,7 @@ let merge_into ~src ~dst =
   end
 
 let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.rows;
   t.n <- 0;
   t.min_v <- max_int;
   t.max_v <- 0

@@ -473,15 +473,22 @@ let of_binary s =
   t.count <- count;
   t.head <- (if count = capacity then 0 else count);
   t.dropped <- dropped;
-  (* validate every record decodes (tags, kind codes, name ids in range) *)
-  (try
-     for r = 0 to count - 1 do
-       let off = r * record_words in
-       let id = Bigarray.Array1.unsafe_get t.buf (off + 3) in
-       if id < 0 || id >= t.n_names then fail "name id %d out of range" id;
-       ignore (decode t off)
-     done
-   with Invalid_argument m -> fail "%s" m);
+  (* validate every record decodes (tags, kind codes, name ids in range),
+     each failure reported once under this function's own prefix *)
+  for r = 0 to count - 1 do
+    let word i = Bigarray.Array1.unsafe_get t.buf ((r * record_words) + i) in
+    let id = word 3 in
+    if id < 0 || id >= t.n_names then
+      fail "record %d: name id %d out of range" r id;
+    match word 0 with
+    | 0 -> ()
+    | 1 -> (
+        match kind_of_code (word 2) with
+        | _ -> ()
+        | exception Invalid_argument _ ->
+            fail "record %d: unknown instant kind code %d" r (word 2))
+    | tag -> fail "record %d: unknown record tag %d" r tag
+  done;
   t
 
 let write_binary t ~path =

@@ -165,6 +165,150 @@ let prop_runqueue_fifo_order =
          in
          drain [] = List.map (fun (_, t) -> t.Task.name) tasks))
 
+(* The links are intrusive, so a task sits in at most one queue: pushing
+   it into a second queue is rejected like a double insert, and removing
+   it through the wrong queue is a no-op on both. *)
+let test_runqueue_one_queue_per_task () =
+  let q1 = Runqueue.create () and q2 = Runqueue.create () in
+  let a = mk_task "a" and b = mk_task "b" and c = mk_task "c" in
+  List.iter (Runqueue.push_tail q1) [ a; b ];
+  Runqueue.push_tail q2 c;
+  List.iter
+    (fun (what, push) ->
+      check Alcotest.bool
+        (what ^ " of a task queued elsewhere raises")
+        true
+        (try
+           push q2 b;
+           false
+         with Invalid_argument _ -> true))
+    [ ("push_tail", Runqueue.push_tail); ("push_head", Runqueue.push_head) ];
+  check Alcotest.bool "remove via the wrong queue" false (Runqueue.remove q2 a);
+  check Alcotest.bool "remove an unqueued task" false
+    (Runqueue.remove q1 (mk_task "d"));
+  check (Alcotest.list Alcotest.string) "q1 intact" [ "a"; "b" ] (rq_names q1);
+  check (Alcotest.list Alcotest.string) "q2 intact" [ "c" ] (rq_names q2);
+  check Alcotest.int "q1 length" 2 (Runqueue.length q1);
+  check Alcotest.int "q2 length" 1 (Runqueue.length q2);
+  (* once out of q1, the task may enter q2 *)
+  check Alcotest.bool "remove b from q1" true (Runqueue.remove q1 b);
+  Runqueue.push_head q2 b;
+  check (Alcotest.list Alcotest.string) "b moved" [ "b"; "c" ] (rq_names q2);
+  check Alcotest.int "steal a" 1 (Runqueue.steal_half ~from:q1 ~into:q2);
+  check (Alcotest.list Alcotest.string) "a stolen to the tail" [ "b"; "c"; "a" ]
+    (rq_names q2);
+  check Alcotest.bool "q1 empty" true (Runqueue.is_empty q1)
+
+(* Model test over random operation sequences on two queues sharing a pool
+   of six tasks: every operation's result, each queue's order (through
+   [to_list] and [iter]) and [length] must match two plain lists, and a
+   push of a task already in either queue must raise and change nothing. *)
+type rq_op =
+  | Push_head of int * int
+  | Push_tail of int * int
+  | Pop_head of int
+  | Pop_tail of int
+  | Remove of int * int
+  | Steal of int  (* from queue i into the other *)
+
+let rq_op_gen =
+  let open QCheck.Gen in
+  let q = int_bound 1 and k = int_bound 5 in
+  frequency
+    [
+      (3, map2 (fun q k -> Push_head (q, k)) q k);
+      (3, map2 (fun q k -> Push_tail (q, k)) q k);
+      (2, map (fun q -> Pop_head q) q);
+      (2, map (fun q -> Pop_tail q) q);
+      (2, map2 (fun q k -> Remove (q, k)) q k);
+      (1, map (fun q -> Steal q) q);
+    ]
+
+let rq_op_print = function
+  | Push_head (q, k) -> Printf.sprintf "push_head q%d t%d" q k
+  | Push_tail (q, k) -> Printf.sprintf "push_tail q%d t%d" q k
+  | Pop_head q -> Printf.sprintf "pop_head q%d" q
+  | Pop_tail q -> Printf.sprintf "pop_tail q%d" q
+  | Remove (q, k) -> Printf.sprintf "remove q%d t%d" q k
+  | Steal q -> Printf.sprintf "steal_half q%d -> q%d" q (1 - q)
+
+let prop_runqueue_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"runqueue ops match the list model" ~count:300
+       QCheck.(
+         make ~print:(Print.list rq_op_print) Gen.(list_size (int_bound 60) rq_op_gen))
+       (fun ops ->
+         let tasks = Array.init 6 (fun i -> mk_task (Printf.sprintf "t%d" i)) in
+         let qs = [| Runqueue.create (); Runqueue.create () |] in
+         let model = [| []; [] |] in
+         let name (t : Task.t) = t.Task.name in
+         let queued k = List.exists (List.mem k) (Array.to_list model) in
+         let last l = List.nth l (List.length l - 1) in
+         let drop_last l = List.filteri (fun i _ -> i < List.length l - 1) l in
+         let popped got want =
+           Option.map name got = Option.map (fun k -> name tasks.(k)) want
+         in
+         let step op =
+           match op with
+           | Push_head (q, k) | Push_tail (q, k) ->
+               let push =
+                 match op with Push_head _ -> Runqueue.push_head | _ -> Runqueue.push_tail
+               in
+               let raised =
+                 try
+                   push qs.(q) tasks.(k);
+                   false
+                 with Invalid_argument _ -> true
+               in
+               if queued k then raised
+               else begin
+                 model.(q) <-
+                   (match op with
+                   | Push_head _ -> k :: model.(q)
+                   | _ -> model.(q) @ [ k ]);
+                 not raised
+               end
+           | Pop_head q -> (
+               let got = Runqueue.pop_head qs.(q) in
+               match model.(q) with
+               | [] -> got = None
+               | k :: rest ->
+                   model.(q) <- rest;
+                   popped got (Some k))
+           | Pop_tail q -> (
+               let got = Runqueue.pop_tail qs.(q) in
+               match model.(q) with
+               | [] -> got = None
+               | l ->
+                   model.(q) <- drop_last l;
+                   popped got (Some (last l)))
+           | Remove (q, k) ->
+               let was = List.mem k model.(q) in
+               model.(q) <- List.filter (fun j -> j <> k) model.(q);
+               Runqueue.remove qs.(q) tasks.(k) = was
+           | Steal q ->
+               let into = 1 - q in
+               let want = (List.length model.(q) + 1) / 2 in
+               for _ = 1 to want do
+                 let k = last model.(q) in
+                 model.(q) <- drop_last model.(q);
+                 model.(into) <- model.(into) @ [ k ]
+               done;
+               Runqueue.steal_half ~from:qs.(q) ~into:qs.(into) = want
+         in
+         let agrees q =
+           let expect = List.map (fun k -> name tasks.(k)) model.(q) in
+           let seen = ref [] in
+           Runqueue.iter (fun t -> seen := name t :: !seen) qs.(q);
+           rq_names qs.(q) = expect
+           && List.rev !seen = expect
+           && Runqueue.length qs.(q) = List.length expect
+           && Runqueue.is_empty qs.(q) = (expect = [])
+           && Option.map name (Runqueue.peek_head qs.(q))
+              = (match expect with [] -> None | h :: _ -> Some h)
+         in
+         List.for_all (fun op -> step op && agrees 0 && agrees 1) ops))
+
 (* ---- a trivial FIFO policy for runtime tests ---- *)
 
 let fifo_ctor : Sched_ops.ctor =
@@ -659,6 +803,51 @@ let test_dispatcher_mode_switch () =
   check Alcotest.int "centralized: no mode instants" 0 (List.length modes);
   check Alcotest.int "centralized: no timer ticks" 0 c.Runtime.ticks
 
+(* [pick_idle] over the runtime's view: the view is built once, so it
+   must see units change state after construction.  Cores are listed out
+   of id order to pin the "first in [view.cores] order" rule. *)
+let test_pick_idle_view () =
+  let engine = Engine.create () in
+  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
+  let seen = ref None in
+  let rt =
+    Percpu.create machine (Kmod.create machine) ~cores:[ 5; 2; 6 ]
+      (fun view ->
+        seen := Some view;
+        fifo_ctor view)
+  in
+  let view = Option.get !seen in
+  let pick () = Sched_ops.pick_idle view in
+  let opt = Alcotest.(option int) in
+  check Alcotest.(array int) "cores in unit order" [| 5; 2; 6 |] view.Sched_ops.cores;
+  check opt "all idle: the first listed" (Some 5) (pick ());
+  check Alcotest.bool "unmanaged core is never idle" false (view.Sched_ops.is_idle 3);
+  check Alcotest.bool "out-of-range core is never idle" false
+    (view.Sched_ops.is_idle 99 || view.Sched_ops.is_idle (-1));
+  let app = Percpu.create_app rt ~name:"a" in
+  let long cpu =
+    ignore
+      (Percpu.spawn rt app ~name:"long" ~cpu ~record:false
+         (Coro.compute_then_exit (Time.us 100)))
+  in
+  long 5;
+  Engine.run ~until:(Time.us 5) engine;
+  check opt "core 5 busy: the next listed" (Some 2) (pick ());
+  check Alcotest.int "wakeup placement agrees" 2
+    (Sched_ops.wakeup_to_idle_or view ~fallback:(-7));
+  (* the broker caps the last unit (core 6) *)
+  Percpu.set_core_allowance rt 2;
+  check Alcotest.bool "capped core is not idle" false (view.Sched_ops.is_idle 6);
+  long 2;
+  Engine.run ~until:(Time.us 10) engine;
+  check opt "busy + capped: none" None (pick ());
+  check Alcotest.int "fallback when none" (-7)
+    (Sched_ops.wakeup_to_idle_or view ~fallback:(-7));
+  Percpu.set_core_allowance rt 3;
+  check opt "uncapped again" (Some 6) (pick ());
+  Engine.run ~until:(Time.us 500) engine;
+  check opt "tasks done: the first listed again" (Some 5) (pick ())
+
 let suite =
   [
     Alcotest.test_case "runqueue: fifo + deque" `Quick test_runqueue_fifo;
@@ -671,6 +860,9 @@ let suite =
     Alcotest.test_case "runqueue: steal-half" `Quick test_runqueue_steal_half;
     prop_runqueue_steal_half_model;
     prop_runqueue_fifo_order;
+    Alcotest.test_case "runqueue: one queue per task" `Quick
+      test_runqueue_one_queue_per_task;
+    prop_runqueue_model;
     Alcotest.test_case "percpu: runs a task" `Quick test_percpu_runs_task;
     Alcotest.test_case "percpu: parallelism" `Quick test_percpu_parallelism;
     Alcotest.test_case "percpu: timer ticks" `Quick test_percpu_timer_ticks_happen;
@@ -701,4 +893,6 @@ let suite =
       test_dispatcher_mode_switch;
     Alcotest.test_case "percpu+worksteal: unmanaged core rejected" `Quick
       test_percpu_unmanaged_core;
+    Alcotest.test_case "pick_idle: first idle in view order, live" `Quick
+      test_pick_idle_view;
   ]

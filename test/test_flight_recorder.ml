@@ -207,6 +207,54 @@ let test_machine_invariants () =
   check bool "at most one tenant ends the run quarantined" true
     (Hashtbl.length open_q <= 1)
 
+(* ---- trace-dump on a corrupt image ----------------------------------------
+
+   A truncated image and one whose record names an interned string that
+   does not exist: [trace-dump] must report each as one line carrying the
+   decoder's prefix exactly once, and exit 1 (not die on an uncaught
+   exception). *)
+
+let count_sub s sub =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+let test_trace_dump_corrupt () =
+  let trace = Trace.create ~capacity:8 () in
+  Trace.span trace ~core:0 ~app:1 ~name:"req" ~start:10 ~stop:20;
+  Trace.instant trace ~core:1 ~at:30 Trace.Preempt ~name:"req";
+  let image = Trace.to_binary trace in
+  let len = String.length image in
+  (* the last record's name id: records are the image's tail, 64 bytes
+     each, the id in their fourth 8-byte word *)
+  let bad_id = Bytes.of_string image in
+  Bytes.set bad_id (len - 64 + 24) '\x09';
+  let cases =
+    [
+      ("truncated", String.sub image 0 (len - 10), "truncated records");
+      ("bad name id", Bytes.to_string bad_id, "name id 9 out of range");
+    ]
+  in
+  List.iter
+    (fun (what, img, reason) ->
+      let path = Filename.temp_file "skyloft_trace" ".bin" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc img);
+          match E.Trace_dump.dump ~path ~limit:0 with
+          | _ -> failf "%s: decoded a corrupt image" what
+          | exception E.Trace_dump.Error msg ->
+              check int (what ^ ": one decoder prefix") 1
+                (count_sub msg "Trace.of_binary:");
+              check bool (what ^ ": names the fault") true (count_sub msg reason = 1);
+              check bool (what ^ ": one line") false (String.contains msg '\n');
+              check int (what ^ ": exit code") 1 (E.Trace_dump.run ~path ~limit:0)))
+    cases
+
 let suite =
   [
     qtest prop_ring_round_trip;
@@ -214,4 +262,6 @@ let suite =
       test_truncation_contract;
     test_case "brokered fleet: machine-level trace invariants" `Slow
       test_machine_invariants;
+    test_case "trace-dump: corrupt image, one-line error" `Quick
+      test_trace_dump_corrupt;
   ]

@@ -1,6 +1,8 @@
-(* Allocation gates for the simulator's periodic control loops: the PRNG
+(* Allocation gates for the simulator's periodic control loops — the PRNG
    draw, the core allocator's tick, the UINTR post/recognise path and the
-   idle timer-tick cycle of the per-CPU, work-stealing and hybrid runtimes.
+   idle timer-tick cycle of the per-CPU, work-stealing and hybrid runtimes
+   — and for its per-request path: a spawn's idle-core search and the
+   words per completed request of each runtime kind.
    Each gate bounds minor-heap words, which do not depend on the host, so
    a regression that reintroduces a per-tick closure, list or boxed field
    fails here on any machine.  Run on their own with
@@ -18,6 +20,7 @@ module Policy = Skyloft_alloc.Policy
 module Percpu = Skyloft.Percpu
 module Worksteal = Skyloft.Worksteal
 module Centralized = Skyloft.Centralized
+module Runtime = Skyloft_runtime.Runtime
 
 (* Minor words [f] allocates per call over [n] calls, after a warm-up so
    one-time growth (hash tables, lazily built closures) is not counted.
@@ -53,7 +56,11 @@ let test_rng () =
          ignore (Sys.opaque_identity (Rng.bits64 rng))));
   gate "Rng.uniform" ~bound:2.0
     (words_per_call ~n:10_000 (fun () ->
-         ignore (Sys.opaque_identity (Rng.uniform rng))))
+         ignore (Sys.opaque_identity (Rng.uniform rng))));
+  (* [uniform t < p] compared inside Rng: the fault injector's per-IPI
+     draw returns an unboxed bool. *)
+  gate "Rng.bernoulli" ~bound:0.0
+    (words_per_call ~n:10_000 (fun () -> if Rng.bernoulli rng 0.3 then incr sink))
 
 (* ---- lib/alloc: Allocator.tick ------------------------------------------ *)
 
@@ -171,6 +178,86 @@ let test_idle_hybrid_be () =
   Centralized.attach_be_app rt be ~chunk:(Time.ms 10) ~workers:7;
   gate "hybrid + BE idle tick" ~bound:1.0 (idle_words_per_event engine)
 
+(* ---- lib/core: the per-request path -------------------------------------- *)
+
+(* The idle-core search on a spawn: 16 cores, each running a long pinned
+   task, so every spawn's search probes all 16 units and finds none idle.
+   What remains is the task record itself (32 words): the O(1) idle
+   probes, the intrusive enqueue and the congestion probe's int ring add
+   nothing.  Rebuilding the view per search, with an all-units scan per
+   probed core, cost 272 words per spawn here. *)
+let test_spawn_busy_percpu () =
+  let engine, machine, kmod = machine 16 in
+  let cores = List.init 16 Fun.id in
+  let rt =
+    Percpu.create machine kmod ~cores (Skyloft_policies.Fifo.create ())
+  in
+  let app = Percpu.create_app rt ~name:"lc" in
+  List.iter
+    (fun cpu ->
+      ignore
+        (Percpu.spawn rt app ~name:"long" ~cpu ~record:false
+           (Skyloft_sim.Coro.compute_then_exit (Time.s 1))))
+    cores;
+  Engine.run ~until:(Time.us 10) engine;
+  List.iter
+    (fun core ->
+      if Percpu.is_idle rt ~core then Alcotest.failf "core %d still idle" core)
+    cores;
+  let body = Skyloft_sim.Coro.Exit in
+  let words =
+    words_per_call ~n:10_000 (fun () ->
+        ignore (Percpu.spawn rt app ~name:"req" ~cpu:0 ~record:false body))
+  in
+  gate "Percpu.spawn onto 16 busy cores" ~bound:34.0 words
+
+(* Words per completed request, by runtime kind, through [Runtime.create]:
+   a closed loop of 6 clients on 4 cores, each 5 us request resubmitting
+   itself at completion, recorded (summary + attribution) as the scenario
+   runners do.  1 ms of warm-up, then 4 ms measured.  The request body is
+   one preallocated value, so the words are the runtime's own: the task
+   record (32), the dequeued and the running task's options, and the
+   start-of-execution event's closure; the dispatcher kinds add the
+   dispatcher's assignment event.  Per-push runqueue nodes, per-task exit
+   hooks and a per-enqueue [Queue] cell made it 229 (per-CPU kinds) and
+   103 (dispatcher kinds). *)
+let words_per_request kind =
+  let engine, machine, kmod = machine 4 in
+  let rt =
+    Runtime.create kind machine kmod ~cores:[ 0; 1; 2; 3 ] ~quantum:(Time.us 30) ()
+  in
+  let app = rt.Runtime.create_app ~name:"lc" in
+  let service = Time.us 5 in
+  let completed = ref 0 in
+  let rec resubmit () =
+    incr completed;
+    ignore (rt.Runtime.submit app ~name:"req" ~service (Lazy.force req));
+    Skyloft_sim.Coro.Exit
+  and req = lazy (Skyloft_sim.Coro.Compute (service, resubmit)) in
+  for _ = 1 to 6 do
+    ignore (rt.Runtime.submit app ~name:"req" ~service (Lazy.force req))
+  done;
+  Engine.run ~until:(Time.ms 1) engine;
+  let c0 = !completed and w0 = Gc.minor_words () in
+  Engine.run ~until:(Time.ms 5) engine;
+  let w1 = Gc.minor_words () in
+  let n = !completed - c0 in
+  if n < 1_000 then Alcotest.failf "%s: only %d completions" (Runtime.name kind) n;
+  (w1 -. w0) /. float_of_int n
+
+let test_request_path () =
+  List.iter
+    (fun (kind, bound) ->
+      gate
+        (Printf.sprintf "%s: words per completed request" (Runtime.name kind))
+        ~bound (words_per_request kind))
+    [
+      (Runtime.Percpu, 48.0);
+      (Runtime.Centralized, 56.0);
+      (Runtime.Hybrid, 56.0);
+      (Runtime.Worksteal, 48.0);
+    ]
+
 let suite =
   [
     Alcotest.test_case "rng: draws allocate nothing" `Quick test_rng;
@@ -181,4 +268,8 @@ let suite =
     Alcotest.test_case "worksteal: idle tick" `Quick test_idle_worksteal;
     Alcotest.test_case "hybrid: idle tick with a BE tenant" `Quick
       test_idle_hybrid_be;
+    Alcotest.test_case "percpu: spawn onto busy cores" `Quick
+      test_spawn_busy_percpu;
+    Alcotest.test_case "runtimes: words per completed request" `Quick
+      test_request_path;
   ]
